@@ -1236,8 +1236,8 @@ def build_parser() -> argparse.ArgumentParser:
             help_text=(
                 "simulation kernel: des = event-exact (default), vector = "
                 "vectorized probe (short calibration + certified regression "
-                "model, warm-started across sweep groups; short or "
-                "uncertified windows fall back to the DES)"
+                "model, calibrated per point; short or uncertified "
+                "windows fall back to the DES)"
             ),
         )
 

@@ -48,6 +48,12 @@ from repro.core.experiment import BandwidthMeasurement, MeasurementPoint
 #: invalidates every existing cache entry at the key level.
 MODEL_VERSION = 1
 
+#: Revision of the vector kernel's results, keyed only into non-DES
+#: points so DES keys never move.  Revision 2: every window calibrates
+#: from its own warm-up, so entries keyed before it (some shaped by a
+#: sweep neighbour's warm start) stop matching.
+VECTOR_KERNEL_REVISION = 2
+
 
 def default_cache_dir() -> Path:
     """Resolve the cache directory from the environment.
@@ -96,7 +102,7 @@ def cache_key(point: MeasurementPoint) -> str:
     # extrapolated, so they live under their own keys and can never
     # shadow (or be shadowed by) an event-exact DES result.
     if settings.kernel != "des":
-        inputs.append(("kernel", settings.kernel))
+        inputs.append(("kernel", settings.kernel, VECTOR_KERNEL_REVISION))
     # And for the device backend: non-hmc1 devices change the simulated
     # machine, so their results live under their own keys, while hmc1
     # keys stay exactly what pre-device-zoo builds computed.

@@ -284,87 +284,35 @@ def simulate_point_observed(
 
 
 def simulate_point_hinted(
-    point: MeasurementPoint, warm=None
+    point: MeasurementPoint,
 ) -> Tuple[BandwidthMeasurement, int, dict]:
-    """Run one vector-kernel experiment with an explicit warm-start hint.
+    """:func:`simulate_point`'s pair plus :func:`simulate_point_observed`'s info.
 
-    ``warm`` is a :class:`repro.sim.vectorprobe.WarmStart` (or ``None``
-    for a cold calibration).  Returns ``(measurement, events_equivalent,
-    info)`` where ``info`` is the observer dict of
-    :func:`simulate_point_observed` plus ``steady_state`` - the
-    certified :class:`~repro.sim.vectorprobe.WarmStart` this point
-    produced (``None`` on fallback).  This is the per-point leg of the
-    grouped-execution parity contract: :func:`simulate_vector_group`
-    over a point set is identical to calling this function point by
-    point along :func:`vector_group_order` with each family head's
-    steady state as the hint.
+    Nothing in the package calls this: it is kept by name for benchmark
+    harnesses that look it up.  Vector windows take no hints; every
+    point calibrates from its own warm-up.
     """
     info: dict = {}
-    measurement, events = _run_point(
-        point, obs_trace.tracer_for_run(), observer=info, warm=warm
-    )
+    measurement, events = _run_point(point, obs_trace.tracer_for_run(), observer=info)
     return measurement, events, info
-
-
-def _vector_order_key(point: MeasurementPoint):
-    """Canonical within-group ordering - a pure function of the point."""
-    return (
-        str(point.request_type.value),
-        str(point.mode.value),
-        point.payload_bytes,
-        -1 if point.active_ports is None else point.active_ports,
-        point.pattern_name,
-        point.seed,
-    )
-
-
-def _vector_family(point: MeasurementPoint):
-    """Points sharing a family may warm-start from the family head."""
-    return (point.request_type, point.mode)
-
-
-def vector_group_order(points: List[MeasurementPoint]) -> List[int]:
-    """Deterministic execution order for a vector sweep group.
-
-    Returns indices into ``points`` sorted by the canonical key, so the
-    warm-start plan - the first point of each (request type, addressing
-    mode) family is the cold head, the rest warm-start from it - is a
-    pure function of the point *set*, independent of submission order.
-    """
-    return sorted(range(len(points)), key=lambda i: _vector_order_key(points[i]))
 
 
 def simulate_vector_group(
     points: List[MeasurementPoint],
 ) -> List[Tuple[BandwidthMeasurement, int]]:
-    """Run a group of vector-kernel points with cross-point warm starts.
+    """:func:`simulate_point` over ``points``, in order.
 
-    Executes in :func:`vector_group_order`; each family's head runs the
-    cold calibration, and its certified steady state warm-starts the
-    rest of the family (heads that fell back to the DES leave their
-    family cold).  Results come back in the *input* order, shaped like
-    :func:`simulate_point` returns, so the executor can treat a group
-    as a batch of independent points.
+    Nothing in the package calls this: it is kept by name for benchmark
+    harnesses that look it up.  A point's result never depends on the
+    points run with it.
     """
-    results: List[Optional[Tuple[BandwidthMeasurement, int]]] = [None] * len(points)
-    heads: dict = {}
-    for i in vector_group_order(points):
-        point = points[i]
-        family = _vector_family(point)
-        measurement, events, info = simulate_point_hinted(
-            point, warm=heads.get(family)
-        )
-        if family not in heads:
-            heads[family] = info.get("steady_state")
-        results[i] = (measurement, events)
-    return results  # type: ignore[return-value]
+    return [simulate_point(point) for point in points]
 
 
 def _run_point(
     point: MeasurementPoint,
     tracer: Optional["obs_trace.Tracer"],
     observer: Optional[dict] = None,
-    warm=None,
 ) -> Tuple[BandwidthMeasurement, int]:
     """The shared warm-up/window protocol behind both entry points."""
     import time as _time
@@ -408,7 +356,6 @@ def _run_point(
     events_equivalent = 0
     probe_wall_s = 0.0
     tail_wall_s = 0.0
-    steady_state = None
     eligible = False
     if settings.kernel == "vector":
         from repro.sim import vectorprobe as vector_kernel
@@ -418,9 +365,8 @@ def _run_point(
             eligible, reason = False, "window too short for vector calibration"
 
     if eligible:
-        outcome = vector_kernel.run_window(board, window_ns, warm=warm)
+        outcome = vector_kernel.run_window(board, window_ns)
         kernel_used = "vector" if outcome.used_vector else "des"
-        steady_state = outcome.steady_state
         reason = outcome.reason
         window_wall_s = outcome.window_wall_s
         probe_wall_s = outcome.probe_wall_s
@@ -449,7 +395,6 @@ def _run_point(
             tail_wall_s=tail_wall_s,
             events=events,
             events_equivalent=events_equivalent,
-            steady_state=steady_state,
             stations=read_stations(board, window_ns),
         )
 

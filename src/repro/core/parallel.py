@@ -102,7 +102,11 @@ _MEMO: Dict[str, BandwidthMeasurement] = {}
 
 @dataclass
 class ExecutorStats:
-    """Counters of what the executors actually did (process-wide).
+    """Counters of what executors actually did.
+
+    One instance holds the process-wide totals (:func:`stats`), and each
+    :class:`MeasurementExecutor` keeps its own (its ``stats``), which is
+    what a daemon sharing its process with other daemons reports.
 
     Mutations go through :meth:`add` / :meth:`clear`, which hold the
     instance lock - the daemon submits batches from executor threads
@@ -372,9 +376,7 @@ def _simulate(point: MeasurementPoint) -> Tuple[BandwidthMeasurement, int]:
     to the worker's own span file as ``sim`` spans stamped with the
     point's cache key - the only channel out of a fork worker, and how
     the exporter telescopes the simulated RTT under the backend's serve
-    span.  The group path (:func:`_simulate_group`) deliberately skips
-    this: one group mixes many points, so per-point attribution would
-    be wrong.
+    span.
     """
     outcome = simulate_point(point)
     if wiretrace.sim_sink_active():
@@ -382,52 +384,6 @@ def _simulate(point: MeasurementPoint) -> Tuple[BandwidthMeasurement, int]:
         if contexts:
             wiretrace.record_sim_contexts(cache_key(point), contexts)
     return outcome
-
-
-def _simulate_group(
-    points: List[MeasurementPoint],
-) -> List[Tuple[BandwidthMeasurement, int]]:
-    """Pool worker: one warm-start vector sweep group (picklable).
-
-    Delegates to :func:`repro.core.experiment.simulate_vector_group`,
-    which runs the group in its canonical order with family heads
-    warm-starting the rest - one pool task instead of one per point,
-    and the warm starts shrink every non-head calibration.
-    """
-    from repro.core.experiment import simulate_vector_group
-
-    return simulate_vector_group(points)
-
-
-def _vector_groups(
-    points: Sequence[MeasurementPoint],
-) -> Tuple[List[List[int]], List[int]]:
-    """Partition batch indices into vector sweep groups and singles.
-
-    A group is >= 2 points sharing identical vector-kernel settings with
-    no topology and a window above the kernel's static floor (the vector
-    kernel's static eligibility is settings-shaped, so one check covers
-    the group).  Everything else - other kernels, topology runs,
-    short-window points that would fall back statically, lone vector
-    points - stays on the per-point path.  Grouping only changes *where* points run, never what they
-    produce: the group runner's warm-start plan is a pure function of
-    the point set, pinned by the grouped-vs-per-point parity test.
-    """
-    from repro.sim.vectorprobe import window_allows
-
-    by_settings: Dict[object, List[int]] = {}
-    for i, point in enumerate(points):
-        settings = point.settings
-        if (
-            settings.kernel == "vector"
-            and settings.topology is None
-            and window_allows(settings)
-        ):
-            by_settings.setdefault(settings, []).append(i)
-    groups = [indices for indices in by_settings.values() if len(indices) >= 2]
-    grouped = {i for indices in groups for i in indices}
-    singles = [i for i in range(len(points)) if i not in grouped]
-    return groups, singles
 
 
 def _expected_cost(point: MeasurementPoint) -> float:
@@ -469,6 +425,9 @@ class MeasurementExecutor:
         own it.  Unlike ``jobs`` and ``use_cache`` it has no module
         default here: only :func:`get_executor` applies the configured
         fleet.
+
+    Each executor counts what it did in its own :attr:`stats`, as well
+    as in the process-wide counters.
     """
 
     def __init__(
@@ -482,6 +441,11 @@ class MeasurementExecutor:
         self.use_cache = use_cache if use_cache is not None else _DEFAULT_USE_CACHE
         self._cache = cache
         self.fleet = fleet
+        self.stats = ExecutorStats()
+
+    def _count(self, **counts: int) -> None:
+        _STATS.add(**counts)
+        self.stats.add(**counts)
 
     def _resolve_cache(self) -> Optional[ResultCache]:
         if not self.use_cache:
@@ -559,7 +523,7 @@ class MeasurementExecutor:
                     continue
             missing[key] = point
         if memo_hits or disk_hits:
-            _STATS.add(memo_hits=memo_hits, disk_hits=disk_hits)
+            self._count(memo_hits=memo_hits, disk_hits=disk_hits)
 
         if missing:
             miss_keys = list(missing)
@@ -568,9 +532,9 @@ class MeasurementExecutor:
                 # The shards that run these simulations count them.
                 measurements = self.fleet.measure_many(miss_points)
             else:
-                outcomes = self._run_batch(miss_points)
+                outcomes = self._run_misses(miss_points)
                 measurements = [measurement for measurement, _ in outcomes]
-                _STATS.add(
+                self._count(
                     simulations=len(outcomes),
                     events_simulated=sum(events for _, events in outcomes),
                 )
@@ -581,48 +545,6 @@ class MeasurementExecutor:
             if cache is not None:
                 cache.store_many(fresh)
         return results
-
-    def _run_batch(
-        self, miss_points: Sequence[MeasurementPoint]
-    ) -> List[Tuple[BandwidthMeasurement, int]]:
-        """Run a batch of misses: vector sweep groups, then the rest."""
-        groups, singles = _vector_groups(miss_points)
-        if not groups:
-            return self._run_misses(miss_points)
-        outcomes: List[Optional[Tuple[BandwidthMeasurement, int]]] = [None] * len(
-            miss_points
-        )
-        group_points = [[miss_points[i] for i in indices] for indices in groups]
-        for indices, group_result in zip(groups, self._run_groups(group_points)):
-            for i, outcome in zip(indices, group_result):
-                outcomes[i] = outcome
-        if singles:
-            single_results = self._run_misses([miss_points[i] for i in singles])
-            for i, outcome in zip(singles, single_results):
-                outcomes[i] = outcome
-        return outcomes  # type: ignore[return-value]
-
-    def _run_groups(
-        self, group_points: Sequence[List[MeasurementPoint]]
-    ) -> List[List[Tuple[BandwidthMeasurement, int]]]:
-        """Run vector sweep groups - one pool task per group.
-
-        Inline execution (``jobs == 1`` or a single group) and the pool
-        path call the same :func:`_simulate_group`, so grouping is
-        scheduling only; the same worker-death retry as
-        :meth:`_run_misses` applies.
-        """
-        workers = min(self.jobs, len(group_points))
-        if workers <= 1:
-            return [_simulate_group(points) for points in group_points]
-        try:
-            return list(get_pool(self.jobs).map(_simulate_group, group_points))
-        except BrokenProcessPool:
-            get_logger("executor").warning(
-                "pool_broken", retry=True, groups=len(group_points)
-            )
-            shutdown_pool()
-            return list(get_pool(self.jobs).map(_simulate_group, group_points))
 
     def _run_misses(
         self, miss_points: Sequence[MeasurementPoint]

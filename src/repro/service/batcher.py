@@ -21,7 +21,6 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional, Tuple
 
-from repro.core import parallel
 from repro.core.cache import cache_key
 from repro.core.experiment import BandwidthMeasurement, MeasurementPoint
 from repro.core.parallel import MeasurementExecutor
@@ -147,7 +146,9 @@ class CoalescingBatcher:
 
     async def _run_batch(self, batch: Dict[str, MeasurementPoint]) -> None:
         loop = asyncio.get_running_loop()
-        before = parallel.stats().snapshot()
+        # This executor's own count: other daemons in the process
+        # simulate concurrently into the process-wide counters.
+        before = self._executor.stats.simulations
         try:
             resolved = await loop.run_in_executor(
                 None, self._executor.measure_keyed, batch
@@ -167,7 +168,7 @@ class CoalescingBatcher:
                 if future is not None and not future.done():
                     future.set_exception(exc)
             return
-        simulated = parallel.stats().simulations - before.simulations
+        simulated = self._executor.stats.simulations - before
         self.metrics.batches += 1
         self.metrics.simulated += simulated
         self.metrics.cache_served += len(batch) - simulated

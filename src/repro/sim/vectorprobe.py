@@ -4,9 +4,9 @@ The paper's measurement protocol is steady-state by construction: warm
 up the closed loop, then read counters over a long stationary window
 (§III-B).  The event engine would spend most of a campaign replaying
 the same stationary completion stream chunk after chunk.  This kernel
-runs a short DES *calibration* prefix (3 of 48 window chunks cold, 2
-warm-started), fits the stationary completion stream with array
-operations, and advances the rest of the window from the fitted model:
+runs a short DES *calibration* prefix (3 of 48 window chunks), fits the
+stationary completion stream with array operations, and advances the
+rest of the window from the fitted model:
 
 * **Rate** - the slope of a least-squares regression of completion
   index against completion time over the calibration span.  The
@@ -65,26 +65,11 @@ window - bit-identical to never having tried, since the calibration
 prefix ran exactly the events the DES would have (chunked
 ``run(until=...)`` calls are equivalent to one by the engine contract).
 
-Cross-point sweep batching
---------------------------
-Sweeps hand the executor many points under the same settings.  Eligible
-vector points are grouped (:func:`repro.core.parallel` dispatches a
-whole group to one worker, amortizing pool round-trips) and executed in
-a canonical order; the first point of each (request type, addressing
-mode) family runs the cold 3-chunk calibration, and the rest of the
-family *warm-starts* from the head's certified steady state, shrinking
-the calibration to 2 chunks.  The warm geometry drops the transient
-guard chunk, not the cross-validation: certification still compares the
-last observed chunk against the model chunks.  The warm-start plan is a
-pure function of the point set (:func:`repro.core.experiment`'s group
-runner), so a grouped sweep and the same plan executed point by point
-produce identical results - the grouping parity gate in the kernel test
-suite pins this.
-
-All model math lives in stacked helpers (:func:`advance_cumulative`,
-:func:`steady_queue_rows`) operating on ``(points, ...)`` arrays; the
-single-point path calls them with one row, so grouped and per-point
-execution share every floating-point operation.
+One point, one window
+---------------------
+Every window calibrates cold from its own warm-up: no state crosses
+points, so a point's result is the same whatever batch, order or worker
+runs it, as the content-addressed result cache assumes.
 """
 
 from __future__ import annotations
@@ -107,13 +92,11 @@ from repro.hmc.packet import FLIT_BYTES, OVERHEAD_FLITS
 from repro.sim.stats import OnlineStats
 
 #: Window partitioning: every measurement window is TOTAL_CHUNKS chunks.
-#: Cold runs keep one transient guard chunk before the regression span
+#: The probe keeps one transient guard chunk before the regression span
 #: (the first window chunk carries a ~1% completion-rate transient even
-#: after warm-up); warm-started runs (a certified same-family neighbor
-#: exists in the sweep group) regress from the window start.
+#: after warm-up).
 TOTAL_CHUNKS = 48
-COLD_PROBE_CHUNKS = 3
-WARM_PROBE_CHUNKS = 2
+PROBE_CHUNKS = 3
 SPAN_CHUNKS = 2
 
 #: Certification reads the trailing CERT_CHUNKS per-chunk rows; the
@@ -220,23 +203,6 @@ class Certification:
 
 
 @dataclass(frozen=True)
-class WarmStart:
-    """A certified neighbor's steady state, used to warm-start a probe.
-
-    Carries the fitted rate/latency/in-flight population of the nearest
-    certified point in the sweep group.  Warm-starting only shrinks the
-    calibration prefix (the certification gate is self-contained); the
-    hint values are recorded in the outcome diagnostics so a sweep's
-    provenance is auditable.
-    """
-
-    rate_per_ns: float
-    latency_ns: float
-    outstanding: float
-    source: str = ""
-
-
-@dataclass(frozen=True)
 class VectorOutcome:
     """What one vectorized window advancement did and what it cost.
 
@@ -244,8 +210,7 @@ class VectorOutcome:
     have processed over the same window (actual probe events plus the
     span's event count scaled across the model tail).  Both event counts
     are window-scoped (warm-up excluded), so ``events_equivalent /
-    events`` is the window advance ratio.  ``steady_state`` is the
-    certified fit, for warm-starting neighbors.
+    events`` is the window advance ratio.
     """
 
     used_vector: bool
@@ -256,7 +221,6 @@ class VectorOutcome:
     probe_wall_s: float = 0.0
     tail_wall_s: float = 0.0
     certification: Optional[Certification] = None
-    steady_state: Optional[WarmStart] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -430,37 +394,22 @@ def capacity_per_ns(
 
 
 # ----------------------------------------------------------------------
-# stacked model advancement
+# model advancement
 # ----------------------------------------------------------------------
 def advance_cumulative(
-    rates: "np.ndarray", intercepts: "np.ndarray", rel_edges_ns: "np.ndarray"
+    rate: float, intercept: float, rel_edges_ns: "np.ndarray"
 ) -> "np.ndarray":
-    """Per-chunk completion counts for stacked points, one array op.
+    """Per-chunk completion counts of the fitted line.
 
-    ``rates``/``intercepts`` are ``(points,)`` fitted lines (completions
-    against nanoseconds since each point's span start); ``rel_edges_ns``
-    is ``(chunks + 1,)`` chunk-edge offsets from the span start.  The
-    cumulative fitted count is floored at every edge *before*
-    differencing, so the synthetic chunk counts carry the same integer
-    quantization beat a counting observer would see - certification's
-    spread checks run against honest integers, not a smoothed line.
+    ``rate``/``intercept`` fit completions against nanoseconds since the
+    span start; ``rel_edges_ns`` is ``(chunks + 1,)`` chunk-edge offsets
+    from the span start.  The cumulative fitted count is floored at
+    every edge *before* differencing, so the synthetic chunk counts
+    carry the same integer quantization beat a counting observer would
+    see - certification's spread checks run against honest integers,
+    not a smoothed line.
     """
-    cumulative = np.floor(
-        rates[:, None] * rel_edges_ns[None, :] + intercepts[:, None]
-    )
-    return np.diff(cumulative, axis=1)
-
-
-def steady_queue_rows(per_vault_depths: "np.ndarray", chunks: int) -> "np.ndarray":
-    """Total queued requests per synthetic chunk for stacked points.
-
-    ``per_vault_depths`` is ``(points, vaults)`` - the queue-depth
-    snapshot at each point's calibration end.  In the certified steady
-    state every vault's occupancy is revisited, so the fused queue
-    update holds each row constant and reduces across vaults per chunk.
-    """
-    totals = per_vault_depths.sum(axis=1)
-    return np.repeat(totals[:, None], chunks, axis=1)
+    return np.diff(np.floor(rate * rel_edges_ns + intercept))
 
 
 def _model_stats(values: "np.ndarray", count: int) -> Optional[OnlineStats]:
@@ -481,7 +430,7 @@ def _model_stats(values: "np.ndarray", count: int) -> Optional[OnlineStats]:
 # ----------------------------------------------------------------------
 # the window advancement
 # ----------------------------------------------------------------------
-def run_window(board, window_ns: float, warm: Optional[WarmStart] = None) -> VectorOutcome:
+def run_window(board, window_ns: float) -> VectorOutcome:
     """Advance one measurement window starting at ``board.sim.now``.
 
     Runs the short DES calibration prefix, fits the stationary stream,
@@ -494,9 +443,8 @@ def run_window(board, window_ns: float, warm: Optional[WarmStart] = None) -> Vec
     entry = sim.snapshot()
     window_start = sim.now
     chunk_ns = window_ns / TOTAL_CHUNKS
-    probe_chunks = WARM_PROBE_CHUNKS if warm is not None else COLD_PROBE_CHUNKS
-    span_start_ns = window_start + chunk_ns * (probe_chunks - SPAN_CHUNKS)
-    probe_end_ns = window_start + chunk_ns * probe_chunks
+    span_start_ns = window_start + chunk_ns * (PROBE_CHUNKS - SPAN_CHUNKS)
+    probe_end_ns = window_start + chunk_ns * PROBE_CHUNKS
     window_end_ns = window_start + window_ns
 
     controller.begin_measurement()
@@ -509,8 +457,8 @@ def run_window(board, window_ns: float, warm: Optional[WarmStart] = None) -> Vec
     span_snapshot: Optional[dict] = None
     span_entry: Optional[dict] = None
     try:
-        for i in range(probe_chunks):
-            if i == probe_chunks - SPAN_CHUNKS:
+        for i in range(PROBE_CHUNKS):
+            if i == PROBE_CHUNKS - SPAN_CHUNKS:
                 span_snapshot = _span_station_snapshot(board)
                 span_entry = sim.snapshot()
             sim.run(until=window_start + chunk_ns * (i + 1))
@@ -598,23 +546,18 @@ def run_window(board, window_ns: float, warm: Optional[WarmStart] = None) -> Vec
         )
 
     # Synthetic model chunks next to the observed ones, through the
-    # certification gate.  The stacked helpers run with one
-    # row here; the group runner uses the same code paths.
+    # certification gate.  In the certified steady state every vault's
+    # occupancy is revisited, so the model chunks hold the queue depth
+    # (like the in-flight population) at its calibration-end value.
     rel_edges = (probe_end_ns - span_start_ns) + chunk_ns * np.arange(
         MODEL_CHUNKS + 1, dtype=float
     )
-    model_events = advance_cumulative(
-        np.asarray([rate]), np.asarray([intercept]), rel_edges
-    )[0]
-    vault_depths = np.asarray(
-        [[vault.queued for vault in board.device.vaults]], dtype=float
-    )
-    model_queued = steady_queue_rows(vault_depths, MODEL_CHUNKS)[0]
+    model_events = advance_cumulative(rate, intercept, rel_edges)
     certification = _certify(
         np.concatenate([obs_events, model_events]),
         np.concatenate([obs_latency, np.full(MODEL_CHUNKS, latency_model)]),
         np.concatenate([obs_outstanding, np.full(MODEL_CHUNKS, outstanding)]),
-        np.concatenate([obs_queued, model_queued]),
+        np.concatenate([obs_queued, np.full(MODEL_CHUNKS, obs_queued[-1])]),
     )
     if not certification.certified:
         return fallback(certification.reason, certification)
@@ -666,15 +609,7 @@ def run_window(board, window_ns: float, warm: Optional[WarmStart] = None) -> Vec
         probe_wall_s=probe_wall_s,
         tail_wall_s=tail_wall_s,
         certification=certification,
-        steady_state=WarmStart(
-            rate_per_ns=float(rate),
-            latency_ns=float(latency_model),
-            outstanding=outstanding,
-        ),
         diagnostics={
-            "probe_chunks": probe_chunks,
-            "warm_started": warm is not None,
-            "warm_source": warm.source if warm is not None else "",
             "span_records": span_records,
             "rate_per_ns": float(rate),
             "latency_model_ns": float(latency_model),

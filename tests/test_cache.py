@@ -39,6 +39,18 @@ def test_model_version_bump_invalidates_keys(monkeypatch):
     assert cache_key(_point()) != before
 
 
+def test_vector_kernel_revision_bump_moves_only_vector_keys(monkeypatch):
+    from dataclasses import replace
+
+    vector = _point(settings=replace(TINY, kernel="vector"))
+    des_before, vector_before = cache_key(_point()), cache_key(vector)
+    monkeypatch.setattr(
+        cache_mod, "VECTOR_KERNEL_REVISION", cache_mod.VECTOR_KERNEL_REVISION + 1
+    )
+    assert cache_key(vector) != vector_before
+    assert cache_key(_point()) == des_before
+
+
 def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
     assert default_cache_dir() == tmp_path / "override"

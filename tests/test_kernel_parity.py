@@ -4,8 +4,8 @@ The kernel's whole contract is "indistinguishable within 0.1% where it
 engages, bit-identical where it does not".  These tests pin both halves:
 certified full-window points against event-exact DES runs, the dynamic
 decertification fallback, the static routing (topology, faults,
-tracing, short windows), warm-started sweep groups - plus unit tests
-for the certification math.
+tracing, short windows), a point's independence from its batch - plus
+unit tests for the certification math.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def test_invalid_kernel_name_is_rejected():
 # ----------------------------------------------------------------------
 # unit tests: certification math
 # ----------------------------------------------------------------------
-#: The cold calibration's observed chunks plus the synthetic model
+#: The calibration's observed chunks plus the synthetic model
 #: chunks: the series the vector kernel feeds the certification gate.
-CERT_INPUT_CHUNKS = vectorprobe.COLD_PROBE_CHUNKS + vectorprobe.MODEL_CHUNKS
+CERT_INPUT_CHUNKS = vectorprobe.PROBE_CHUNKS + vectorprobe.MODEL_CHUNKS
 
 
 def _stationary_chunks(chunks=CERT_INPUT_CHUNKS):
@@ -238,9 +238,10 @@ def test_certify_nan_latency_means_decertify():
     "request_type, payload, mode",
     [
         (RequestType.READ, 128, AddressingMode.RANDOM),
+        (RequestType.READ, 64, AddressingMode.RANDOM),
         (RequestType.WRITE, 64, AddressingMode.RANDOM),
     ],
-    ids=["ro128r", "wo64r"],
+    ids=["ro128r", "ro64r", "wo64r"],
 )
 def test_vector_certified_point_matches_des_within_tolerance(
     request_type, payload, mode
@@ -314,105 +315,36 @@ def test_vector_capacity_gate_rejects_impossible_rates(monkeypatch):
     assert _worst_error(des_m, vec_m) == 0.0
 
 
-def test_vector_group_matches_per_point_plan():
-    # The grouping parity contract: a warm-start group run (what the
-    # executor dispatches) is identical - not merely close - to running
-    # each point alone with the same plan's hints.
-    from repro.core.experiment import (
-        simulate_point_hinted,
-        simulate_vector_group,
-        vector_group_order,
-    )
+def test_vector_point_result_is_independent_of_its_batch():
+    # Equal cache key, equal measurement: a vector point measures the
+    # same alone, next to a same-settings neighbour, and across the
+    # pool - no state crosses points.
+    from repro.core import parallel, schema
 
     settings = replace(DEFAULT, kernel="vector")
-    points = [
-        _point(settings, rt, payload, AddressingMode.RANDOM)
-        for rt, payload in [
-            (RequestType.READ, 128),
-            (RequestType.READ, 64),
-            (RequestType.WRITE, 128),
-        ]
-    ]
-    grouped = simulate_vector_group(points)
-    heads: dict = {}
-    for i in vector_group_order(points):
-        family = (points[i].request_type, points[i].mode)
-        measurement, events, info = simulate_point_hinted(
-            points[i], warm=heads.get(family)
-        )
-        if family not in heads:
-            heads[family] = info.get("steady_state")
-        assert grouped[i] == (measurement, events)
+    neighbour = _point(settings, RequestType.READ, 32)
+    point = _point(settings, RequestType.READ, 64)
+
+    def record(jobs, batch):
+        parallel.reset()
+        executor = parallel.MeasurementExecutor(jobs=jobs, use_cache=False)
+        return schema.measurement_to_dict(executor.measure_points(batch)[-1])
+
+    alone = record(1, [point])
+    assert record(1, [neighbour, point]) == alone
+    assert record(2, [neighbour, point]) == alone
 
 
-def test_executor_groups_vector_sweeps():
-    # The jobs=1 executor path dispatches eligible vector points as one
-    # group and returns exactly what the group runner produces.
-    from repro.core import parallel
-    from repro.core.experiment import simulate_vector_group
+def test_kept_benchmark_entry_points_run_each_point_alone():
+    # simulate_point_hinted and simulate_vector_group stay only for
+    # harnesses that look them up by name: both must give exactly what
+    # simulate_point gives each point on its own.
+    from repro.core.experiment import simulate_point_hinted, simulate_vector_group
 
     settings = replace(DEFAULT, kernel="vector")
-    points = [
-        _point(settings, RequestType.READ, payload, AddressingMode.RANDOM)
-        for payload in (128, 64)
-    ]
-    groups, singles = parallel._vector_groups(points)
-    assert groups == [[0, 1]] and singles == []
-    executor = parallel.MeasurementExecutor(jobs=1, use_cache=False)
-    got = executor.measure_points(points)
-    want = [m for m, _ in simulate_vector_group(points)]
-    assert got == want
-    # Mixed batches leave non-vector (and topology) points ungrouped.
-    mixed = points + [_point(FAST)]
-    groups, singles = parallel._vector_groups(mixed)
-    assert groups == [[0, 1]] and singles == [2]
-
-
-def test_vector_warm_start_shrinks_probe_and_stays_in_budget():
-    # A warm-started window runs the shorter calibration (2 chunks, no
-    # transient guard), re-certifies independently, and still lands
-    # within the 0.1% parity budget of the event-exact run.
-    from repro.fpga.gups import PortConfig
-
-    def vector_window(payload, warm=None):
-        point = _point(DEFAULT, RequestType.READ, payload)
-        board = AC510Board(
-            config=DEFAULT.config,
-            calibration=DEFAULT.calibration,
-            max_block_bytes=DEFAULT.max_block_bytes,
-        )
-        gups = board.load_gups(
-            PortConfig(
-                request_type=point.request_type,
-                payload_bytes=point.payload_bytes,
-                mode=point.mode,
-                mask=point.mask,
-                seed=point.seed,
-            )
-        )
-        gups.start()
-        board.sim.run(until=DEFAULT.warmup_us * 1e3)
-        outcome = vectorprobe.run_window(
-            board, DEFAULT.window_us * 1e3, warm=warm
-        )
-        gups.stop()
-        return outcome, board.controller
-
-    cold, _ = vector_window(128)
-    assert cold.used_vector, cold.reason
-    assert cold.diagnostics["probe_chunks"] == vectorprobe.COLD_PROBE_CHUNKS
-    assert not cold.diagnostics["warm_started"]
-    assert cold.steady_state is not None
-
-    warm, controller = vector_window(64, warm=cold.steady_state)
-    assert warm.used_vector, warm.reason
-    assert warm.diagnostics["probe_chunks"] == vectorprobe.WARM_PROBE_CHUNKS
-    assert warm.diagnostics["warm_started"]
-    assert warm.events_equivalent / warm.events >= 20.0  # 48/2 = 24x
-
-    des_m, _ = simulate_point(_point(DEFAULT, RequestType.READ, 64))
-    assert _rel(des_m.bandwidth_gbs, controller.bandwidth_gbs) <= PARITY_TOL
-    assert (
-        _rel(des_m.read_latency_avg_ns, controller.read_latency.stats.mean)
-        <= PARITY_TOL
-    )
+    points = [_point(settings, RequestType.READ, payload) for payload in (128, 64)]
+    alone = [simulate_point(point) for point in points]
+    assert simulate_vector_group(points) == alone
+    measurement, events, info = simulate_point_hinted(points[1])
+    assert (measurement, events) == alone[1]
+    assert info["kernel"] == "vector"

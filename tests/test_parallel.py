@@ -350,41 +350,3 @@ def test_reset_can_keep_the_memo(fresh_cache):
     executor.measure_points(_points([32]))
     counters = parallel.stats()
     assert (counters.simulations, counters.memo_hits) == (0, 1)
-
-
-def test_vector_groups_partition_by_shared_vector_settings():
-    from repro.topology.spec import TopologySpec
-
-    vector = ExperimentSettings(warmup_us=5.0, window_us=60.0, kernel="vector")
-    other_vector = ExperimentSettings(warmup_us=5.0, window_us=64.0, kernel="vector")
-    short_vector = ExperimentSettings(warmup_us=5.0, window_us=10.0, kernel="vector")
-    networked = ExperimentSettings(
-        warmup_us=5.0,
-        window_us=60.0,
-        kernel="vector",
-        topology=TopologySpec("chain", 2),
-    )
-    pattern = pattern_by_name("1 bank", TINY.config)
-
-    def point(settings, size=32):
-        return MeasurementPoint.for_pattern(
-            pattern,
-            request_type=RequestType.READ,
-            payload_bytes=size,
-            settings=settings,
-        )
-
-    batch = [
-        point(vector, 32),  # 0: grouped with 3
-        point(TINY),  # 1: DES
-        point(other_vector),  # 2: a lone vector point
-        point(vector, 64),  # 3
-        point(short_vector, 32),  # 4: below the static window floor
-        point(short_vector, 64),  # 5
-        point(networked, 32),  # 6: topology runs stay per point
-        point(networked, 64),  # 7
-    ]
-    groups, singles = parallel._vector_groups(batch)
-    assert groups == [[0, 3]]
-    assert singles == [1, 2, 4, 5, 6, 7]
-    assert parallel._vector_groups(_points([16, 32])) == ([], [0, 1])

@@ -8,6 +8,7 @@ simulation window so its points are guaranteed cold in the memo/cache.
 
 import asyncio
 import socket
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -247,6 +248,45 @@ def test_two_daemons_in_one_process_each_report_only_their_own_series():
     assert counts == [3, 1]
 
 
+def test_two_daemons_in_one_process_each_count_only_their_own_simulations():
+    """``simulated`` is what the daemon's own executor ran, even when a
+    second daemon in the process simulates while its batch is open."""
+    settings = _tiny(window_us=11.0625)
+    parallel.reset()
+    with BackgroundService(jobs=1, use_cache=False) as first, BackgroundService(
+        jobs=1, use_cache=False
+    ) as second:
+        executors = [first.service._executor, second.service._executor]
+        entered, released = threading.Event(), threading.Event()
+        measure_keyed = executors[0].measure_keyed
+
+        def held(batch):
+            entered.set()
+            released.wait(timeout=60)
+            return measure_keyed(batch)
+
+        executors[0].measure_keyed = held
+
+        def measure_on_first():
+            with ServiceClient(port=first.port) as client:
+                return client.measure(_point(settings, payload_bytes=32))
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(measure_on_first)
+            assert entered.wait(timeout=60)
+            with ServiceClient(port=second.port) as client:
+                client.measure_many([_point(settings, 64), _point(settings, 128)])
+            released.set()
+            pending.result(timeout=60)
+        stats = []
+        for service in (first, second):
+            with ServiceClient(port=service.port) as client:
+                stats.append(client.stats())
+    assert [s["simulated"] for s in stats] == [1, 2]
+    assert [s["cache_served"] for s in stats] == [0, 0]
+    assert [executor.stats.simulations for executor in executors] == [1, 2]
+
+
 def test_shutdown_verb_drains_and_stops_accepting():
     settings = _tiny(window_us=10.75)
     with BackgroundService(jobs=1) as service:
@@ -286,6 +326,7 @@ class _RejectingExecutor:
     def __init__(self, rejected):
         self.rejected = set(rejected)
         self.calls = []
+        self.stats = parallel.ExecutorStats()
 
     def measure_keyed(self, keyed):
         self.calls.append(sorted(keyed))
