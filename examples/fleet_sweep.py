@@ -12,7 +12,8 @@ The same wiring with real OS processes is one command:
 
 Afterwards it prints where the ring placed the work: each point's
 content-addressed cache key pins it to one backend, so the per-backend
-request counters show the shard split.
+request counters show the shard split.  The sweep bypasses the on-disk
+result cache, so every run reaches the fleet.
 
 Usage:
     python examples/fleet_sweep.py
@@ -64,6 +65,9 @@ def main() -> None:
                         payload_bytes=(32, 128),
                     ),
                     settings=settings,
+                    # No disk cache: a rerun would be served from it
+                    # and never reach the fleet.
+                    use_cache=False,
                 )
 
         rows = [

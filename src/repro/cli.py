@@ -54,7 +54,7 @@ from typing import List, Optional
 
 from repro.core import parallel
 from repro.core.campaign import run_campaign, run_experiment
-from repro.core.experiment import VALID_KERNELS, ExperimentSettings
+from repro.core.experiment import VALID_KERNELS, ExperimentSettings, parity_errors
 from repro.experiments import REGISTRY
 
 FAST_SETTINGS = ExperimentSettings(warmup_us=10.0, window_us=40.0)
@@ -291,36 +291,6 @@ def _run_json(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parity_errors(des, hybrid) -> dict:
-    """Relative kernel-vs-DES error per headline metric, NaN-aware.
-
-    A metric absent on both legs (e.g. write latency on a read-only
-    workload is NaN) contributes zero error; present on only one leg is
-    an infinite error - the kernels disagree about what even happened.
-    """
-    import math
-
-    def rel(base: float, other: float) -> float:
-        if math.isnan(base) and math.isnan(other):
-            return 0.0
-        if math.isnan(base) or math.isnan(other):
-            return float("inf")
-        if base == 0.0:
-            return abs(other)
-        return abs(other - base) / abs(base)
-
-    return {
-        "bandwidth_gbs": rel(des.bandwidth_gbs, hybrid.bandwidth_gbs),
-        "mrps": rel(des.mrps, hybrid.mrps),
-        "read_latency_avg_ns": rel(
-            des.read_latency_avg_ns, hybrid.read_latency_avg_ns
-        ),
-        "write_latency_avg_ns": rel(
-            des.write_latency_avg_ns, hybrid.write_latency_avg_ns
-        ),
-    }
-
-
 def _run_kernel_parity(args: argparse.Namespace) -> int:
     """``run --kernel-parity``: vector vs DES over one experiment's grid.
 
@@ -355,7 +325,7 @@ def _run_kernel_parity(args: argparse.Namespace) -> int:
     worst = 0.0
     failures = 0
     for point, des_m, hyb_m in zip(points, exact, hybrid):
-        errors = _parity_errors(des_m, hyb_m)
+        errors = parity_errors(des_m, hyb_m)
         peak_metric = max(errors, key=lambda k: errors[k])
         peak = errors[peak_metric]
         worst = max(worst, peak)
@@ -1000,9 +970,9 @@ def run_kernel_bench(
     parity errors, the DES-equivalent advance ratio
     (``events_equivalent / events``, a wall-clock-free throughput
     measure), measured window wall speedup, and per point an
-    attribution AGREES cross-check: the kernel-extrapolated station
-    counters must name the same bottleneck family as the event-exact
-    run.
+    attribution AGREES cross-check: the station counters of the
+    kernel's run (its probe, when the window certified) must name the
+    same bottleneck family as the event-exact run.
     """
     import re
     import time
@@ -1055,7 +1025,7 @@ def run_kernel_bench(
                 pattern_name=label,
             )
         )
-        errors = _parity_errors(des_m, hyb_m)
+        errors = parity_errors(des_m, hyb_m)
         advance = (
             hyb_info["events_equivalent"] / hyb_info["events"]
             if hyb_info["events"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.patterns import AccessPattern
 from repro.core.profile import read_stations
@@ -165,6 +165,35 @@ class BandwidthMeasurement:
         from repro.core import schema
 
         return schema.measurement_from_dict(payload)
+
+
+def parity_errors(reference, other) -> Dict[str, float]:
+    """Relative error of ``other`` against ``reference`` per headline metric.
+
+    The headline metrics are the ones an accelerated kernel is held to
+    against the DES: bandwidth, MRPS and mean read and write latency.
+    NaN-aware: a metric absent on both sides (write latency of a
+    read-only workload) is zero error; present on only one side is an
+    infinite error - the two runs disagree about what even happened.
+    """
+    errors = {}
+    for name in (
+        "bandwidth_gbs",
+        "mrps",
+        "read_latency_avg_ns",
+        "write_latency_avg_ns",
+    ):
+        base = getattr(reference, name)
+        value = getattr(other, name)
+        if math.isnan(base) and math.isnan(value):
+            errors[name] = 0.0
+        elif math.isnan(base) or math.isnan(value):
+            errors[name] = math.inf
+        elif base == 0.0:
+            errors[name] = abs(value)
+        else:
+            errors[name] = abs(value - base) / abs(base)
+    return errors
 
 
 @dataclass(frozen=True)
@@ -356,6 +385,9 @@ def _run_point(
     events_equivalent = 0
     probe_wall_s = 0.0
     tail_wall_s = 0.0
+    # The span the station counters cover: a certified vector window
+    # simulated only its probe and advanced the rest from its model.
+    stations_ns = window_ns
     eligible = False
     if settings.kernel == "vector":
         from repro.sim import vectorprobe as vector_kernel
@@ -373,6 +405,7 @@ def _run_point(
         tail_wall_s = outcome.tail_wall_s
         events = outcome.events
         events_equivalent = outcome.events_equivalent
+        stations_ns = outcome.simulated_ns
     else:
         board.controller.begin_measurement()
         events_at_window_start = sim.events_processed
@@ -395,7 +428,7 @@ def _run_point(
             tail_wall_s=tail_wall_s,
             events=events,
             events_equivalent=events_equivalent,
-            stations=read_stations(board, window_ns),
+            stations=read_stations(board, stations_ns),
         )
 
     controller = board.controller

@@ -9,9 +9,10 @@ measured bottleneck; on a well-calibrated model the two agree.
 The experiment driver (:func:`repro.core.experiment.simulate_point_observed`)
 calls the reader on the board that produced the measurement, so the
 attribution and the bandwidth come from the same run.  Under the vector
-kernel the busy counters were already scaled across the model tail
-(:func:`repro.sim.vectorprobe._scale_stations`), so the ranking is
-directly comparable with an event-by-event run.
+kernel a certified window's counters cover only the probe the engine
+simulated, and the reader is given that span
+(:attr:`repro.sim.vectorprobe.VectorOutcome.simulated_ns`): the
+utilizations are what the engine measured, not an extrapolation.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class StationSummary:
 def read_stations(board, window_ns: float) -> StationSummary:
     """Read the station counters of a board whose window just closed.
 
-    ``window_ns`` is the length of the measurement window the busy
-    counters cover (they are reset when it opens).  Links are reported
+    ``window_ns`` is the span the busy counters cover (they are reset
+    when the measurement window opens): the whole window, or the probe
+    of a certified vector window.  Links are reported
     one by one; of the vaults only the busiest TSV
     bus, command issuer and bank.  Reads counters only: O(links +
     vaults + banks), no simulation.

@@ -96,11 +96,6 @@ class HMCConfig:
         return self.num_vaults // self.num_quadrants
 
     @property
-    def num_partitions(self) -> int:
-        """Partitions per DRAM layer equals the number of vaults' columns."""
-        return self.partitions_per_layer
-
-    @property
     def banks_per_vault(self) -> int:
         """Each vault owns one partition per layer, each with its banks."""
         partitions_per_vault = (
@@ -120,10 +115,6 @@ class HMCConfig:
     @property
     def bank_bytes(self) -> int:
         return self.partition_bytes // self.banks_per_partition
-
-    @property
-    def vault_bytes(self) -> int:
-        return self.capacity_bytes // self.num_vaults
 
     @property
     def rows_per_bank(self) -> int:

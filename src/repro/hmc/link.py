@@ -186,23 +186,3 @@ class Link:
         self.tx.reset_counters()
         self.rx.reset_counters()
         self.tokens.reset_watermarks()
-
-    def snapshot(self) -> dict:
-        """Exportable state of both directions and the token pool.
-
-        The vector kernel captures one snapshot at its regression-span
-        start; the difference to the counters at the end of its
-        calibration is the span's busy time / packet flow, which it
-        scales across the remaining window.
-        """
-        return {
-            "tx_busy": self.tx.busy_time,
-            "tx_packets": self.tx.packets,
-            "tx_bytes": self.tx.bytes,
-            "rx_busy": self.rx.busy_time,
-            "rx_packets": self.rx.packets,
-            "rx_bytes": self.rx.bytes,
-            "tokens_available": self.tokens.available,
-            "tokens_peak_in_use": self.tokens.peak_in_use,
-            "tokens_low_water": self.tokens.low_water,
-        }

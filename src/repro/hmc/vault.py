@@ -294,33 +294,6 @@ class VaultController:
     def queued(self) -> int:
         return sum(len(bank.queue) for bank in self.banks)
 
-    def snapshot(self) -> dict:
-        """Exportable state of the vault's shared buses and banks.
-
-        The vector kernel captures one snapshot at its regression-span
-        start; the difference to the counters at the end of its
-        calibration is the span's service activity, which it scales
-        across the remaining window.  Queue depths are
-        instantaneous occupancy signals for steady-state certification.
-        """
-        return {
-            "tsv_busy": self.tsv.busy_time,
-            "tsv_bytes": self.tsv.bytes,
-            "tsv_packets": self.tsv.packets,
-            "command_busy": self.command.busy_time,
-            "command_packets": self.command.packets,
-            "requests_accepted": self.requests_accepted,
-            "queued": self.queued,
-            "banks": [
-                {
-                    "busy_time": bank.busy_time,
-                    "accesses": bank.accesses,
-                    "queue_depth": len(bank.queue),
-                }
-                for bank in self.banks
-            ],
-        }
-
     def reset_counters(self) -> None:
         self.requests_accepted = 0
         self.payload_bytes_accepted = 0

@@ -19,7 +19,7 @@ point per process lifetime.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.cache import cache_key
 from repro.core.experiment import BandwidthMeasurement, MeasurementPoint
@@ -176,8 +176,3 @@ class CoalescingBatcher:
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
                 future.set_result(resolved[key])
-
-
-def keyed_point(point: MeasurementPoint) -> Tuple[str, MeasurementPoint]:
-    """A point with its coalescing/cache identity (convenience helper)."""
-    return cache_key(point), point

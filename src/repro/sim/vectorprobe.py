@@ -18,10 +18,13 @@ rest of the window from the fitted model:
   it is *exactly* constant in steady state; ``W = N / rate`` recovers
   the steady-state latency without waiting for per-chunk latency means
   to converge (worst-case 0.03% error on the suite).
-* **Stations** - per-link/per-vault busy counters grow linearly over
-  the certified span and are scaled across the tail
-  (:func:`_scale_stations`), so profiler attribution stays comparable
-  with the event-by-event run (the AGREES cross-check).
+* **Stations** - not advanced.  The tail moves only the controller's
+  counters; every station's busy, packet and watermark counters stay
+  as the engine left them at the probe's end, so a certified window's
+  station utilizations are read over the :data:`PROBE_CHUNKS` chunks
+  the engine simulated (:attr:`VectorOutcome.simulated_ns`).  The
+  bottleneck they name is checked against the event-by-event run by
+  ``repro bench`` (the AGREES cross-check).
 
 The kernel never guesses: correctness is gated three ways.
 
@@ -30,32 +33,33 @@ The kernel never guesses: correctness is gated three ways.
    active tracing, refresh) route to the event-by-event
    :class:`~repro.sim.engine.Simulator` before the window even starts,
    and so do windows shorter than :data:`MIN_WINDOW_US`.
-2. **Dynamic certification** (:func:`_certify`) - the kernel
-   synthesizes per-chunk statistics from the fitted model
-   (deterministic integer count accumulation, constant latency,
-   in-flight and queue-depth rows) and appends them to the observed
-   calibration chunks.  The trailing :data:`CERT_CHUNKS` of that series
-   must show a stationary in-flight population and a stationary flow:
-   bounded spread of per-chunk completion counts and latency means,
-   bounded split-half prediction error, and a bounded linear trend
-   (:class:`~repro.core.regression.LinearFit`).  The certification
-   window always contains one *observed* DES chunk next to the six
-   model chunks - a model-versus-engine cross-validation: a fitted rate
-   or latency that disagrees with what the engine actually did trips
-   the spread/drift thresholds.  Three guards are specific to the model:
+2. **Dynamic certification** - four checks on the calibration, in
+   this order; the first that fails falls back.
 
-   * a **service-model capacity check** built from the construction-time
-     delay tables (per-link TX/RX service times and flit costs,
-     per-vault command spacing).  The fitted rate may not exceed what
-     the tables permit; a regression gone wrong cannot certify.
-   * a **minimum span population** so the regression never runs on a
-     handful of records.
+   * a **minimum span population** (:data:`MIN_SPAN_RECORDS`) so the
+     regression never runs on a handful of records, and a positive
+     fitted rate and in-flight population.
    * a **latency estimator agreement check**: Little's law and the
      span's completion-sampled mean estimate the same steady-state
      latency through independent mechanisms; disagreement beyond
      :data:`LATENCY_AGREEMENT_TOLERANCE` flags periodic structure the
      span cannot average (single-vault refresh beats, read-modify-write
-     oscillation) and falls back.
+     oscillation).
+   * a **service-model capacity check** built from the construction-time
+     delay tables (per-link TX/RX service times and flit costs,
+     per-vault command spacing).  The fitted rate may not exceed what
+     the tables permit; a regression gone wrong cannot certify.
+   * a **stationarity certificate** (:func:`_certify`) over per-chunk
+     completion counts and latency means.  The kernel appends
+     :data:`MODEL_CHUNKS` synthetic chunks (the fitted line's
+     integer-floored counts, the Little's-law latency) to the observed
+     calibration chunks; the trailing :data:`CERT_CHUNKS` - the last
+     *observed* chunk next to the model chunks - must show bounded
+     spread of counts and latency means, bounded split-half drift and
+     a bounded linear trend (:class:`~repro.core.regression.LinearFit`).
+     This is a model-versus-engine cross-validation: a fitted rate or
+     latency that disagrees with what the engine did in its last chunk
+     trips the spread/drift thresholds.
 3. **Parity acceptance** - ``repro bench --check`` and
    the kernel-parity test suite assert bandwidth/MRPS/latency within
    0.1% of the DES on the certified suite.
@@ -112,13 +116,8 @@ MODEL_CHUNKS = CERT_CHUNKS - 1
 #: write oscillation) fail with >=2x margin.
 MAX_EVENT_SPREAD = 0.04
 MAX_LATENCY_SPREAD = 0.015
-MAX_OUTSTANDING_SPREAD = 0.02
 MAX_SPLIT_DRIFT = 0.008
 MAX_TREND_DRIFT = 0.02
-#: Queue-occupancy stationarity only gates when queues are deep enough
-#: for the relative spread to be meaningful.
-MIN_QUEUE_DEPTH_FOR_GATE = 64.0
-MAX_QUEUE_SPREAD = 0.5
 
 #: The regression needs a real population; fewer span completions than
 #: this falls back to the DES ("probe too sparse").
@@ -196,10 +195,8 @@ class Certification:
     reason: str
     event_spread: float = math.nan
     latency_spread: float = math.nan
-    outstanding_spread: float = math.nan
     split_drift: float = math.nan
     trend_drift: float = math.nan
-    queue_spread: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,9 @@ class VectorOutcome:
     have processed over the same window (actual probe events plus the
     span's event count scaled across the model tail).  Both event counts
     are window-scoped (warm-up excluded), so ``events_equivalent /
-    events`` is the window advance ratio.
+    events`` is the window advance ratio.  ``simulated_ns`` is the part
+    of the window the engine simulated and the station counters cover:
+    the probe for a certified window, the whole window otherwise.
     """
 
     used_vector: bool
@@ -218,6 +217,7 @@ class VectorOutcome:
     window_wall_s: float
     events: int
     events_equivalent: int
+    simulated_ns: float
     probe_wall_s: float = 0.0
     tail_wall_s: float = 0.0
     certification: Optional[Certification] = None
@@ -250,16 +250,11 @@ def _relative_spread(values: "np.ndarray") -> float:
 
 
 def _certify(
-    chunk_events: "np.ndarray",
-    chunk_latency_means: "np.ndarray",
-    chunk_outstanding: "np.ndarray",
-    chunk_queued: "np.ndarray",
+    chunk_events: "np.ndarray", chunk_latency_means: "np.ndarray"
 ) -> Certification:
     """Stationarity certificate over the trailing CERT_CHUNKS chunks."""
     events = chunk_events[-CERT_CHUNKS:].astype(float)
     latencies = chunk_latency_means[-CERT_CHUNKS:]
-    outstanding = chunk_outstanding[-CERT_CHUNKS:].astype(float)
-    queued = chunk_queued[-CERT_CHUNKS:].astype(float)
     if not events.all():
         return Certification(False, "empty probe chunk")
     if np.isnan(latencies).any():
@@ -267,7 +262,6 @@ def _certify(
 
     event_spread = _relative_spread(events)
     latency_spread = _relative_spread(latencies)
-    outstanding_spread = _relative_spread(outstanding)
     half = CERT_CHUNKS // 2
     split_drift = max(
         abs(float(events[:half].mean() - events[-half:].mean())) / float(events.mean()),
@@ -276,75 +270,23 @@ def _certify(
     )
     trend = LinearFit.fit_indexed(events.tolist())
     trend_drift = abs(trend.rise_over(0, CERT_CHUNKS - 1)) / float(events.mean())
-    queue_mean = float(queued.mean())
-    queue_spread = _relative_spread(queued) if queue_mean else 0.0
 
     metrics = dict(
         event_spread=event_spread,
         latency_spread=latency_spread,
-        outstanding_spread=outstanding_spread,
         split_drift=split_drift,
         trend_drift=trend_drift,
-        queue_spread=queue_spread,
     )
     checks = (
         (event_spread <= MAX_EVENT_SPREAD, "completion-rate spread"),
         (latency_spread <= MAX_LATENCY_SPREAD, "latency spread"),
-        (outstanding_spread <= MAX_OUTSTANDING_SPREAD, "in-flight population"),
         (split_drift <= MAX_SPLIT_DRIFT, "split-half drift"),
         (trend_drift <= MAX_TREND_DRIFT, "completion-rate trend"),
-        (
-            queue_mean < MIN_QUEUE_DEPTH_FOR_GATE or queue_spread <= MAX_QUEUE_SPREAD,
-            "queue occupancy",
-        ),
     )
     for passed, label in checks:
         if not passed:
             return Certification(False, f"non-stationary {label}", **metrics)
     return Certification(True, "", **metrics)
-
-
-# ----------------------------------------------------------------------
-# station extrapolation
-# ----------------------------------------------------------------------
-def _span_station_snapshot(board) -> dict:
-    """Busy-counter snapshot at the regression-span start."""
-    return {
-        "links": [link.snapshot() for link in board.device.links],
-        "vaults": [vault.snapshot() for vault in board.device.vaults],
-    }
-
-
-def _scale_channel(channel, busy0: float, packets0: int, bytes0: int, scale: float) -> None:
-    channel.busy_time += (channel.busy_time - busy0) * scale
-    channel.packets += int(round((channel.packets - packets0) * scale))
-    channel.bytes += int(round((channel.bytes - bytes0) * scale))
-
-
-def _scale_stations(board, span_snapshot: dict, scale: float) -> None:
-    """Extend every station's window counters across the model tail.
-
-    Busy time, packet, and byte counters grew linearly over the
-    stationary span; the tail is ``scale`` spans long, so each counter
-    gains its span delta times ``scale``.  Occupancy watermarks (token
-    peaks/low-water, queue depths) are left at their probe values - a
-    stationary stream revisits them.
-    """
-    for link, snap in zip(board.device.links, span_snapshot["links"]):
-        _scale_channel(link.tx, snap["tx_busy"], snap["tx_packets"], snap["tx_bytes"], scale)
-        _scale_channel(link.rx, snap["rx_busy"], snap["rx_packets"], snap["rx_bytes"], scale)
-    for vault, snap in zip(board.device.vaults, span_snapshot["vaults"]):
-        _scale_channel(vault.tsv, snap["tsv_busy"], snap["tsv_packets"], snap["tsv_bytes"], scale)
-        vault.command.busy_time += (vault.command.busy_time - snap["command_busy"]) * scale
-        vault.command.packets += int(
-            round((vault.command.packets - snap["command_packets"]) * scale)
-        )
-        vault.requests_accepted += int(
-            round((vault.requests_accepted - snap["requests_accepted"]) * scale)
-        )
-        for bank, bank_snap in zip(vault.banks, snap["banks"]):
-            bank.busy_time += (bank.busy_time - bank_snap["busy_time"]) * scale
-            bank.accesses += int(round((bank.accesses - bank_snap["accesses"]) * scale))
 
 
 # ----------------------------------------------------------------------
@@ -452,25 +394,22 @@ def run_window(board, window_ns: float) -> VectorOutcome:
     recorder = CompletionRecorder()
     controller.recorder = recorder
     chunk_marks: List[int] = []
-    chunk_outstanding: List[int] = []
-    chunk_queued: List[int] = []
-    span_snapshot: Optional[dict] = None
     span_entry: Optional[dict] = None
     try:
         for i in range(PROBE_CHUNKS):
             if i == PROBE_CHUNKS - SPAN_CHUNKS:
-                span_snapshot = _span_station_snapshot(board)
                 span_entry = sim.snapshot()
             sim.run(until=window_start + chunk_ns * (i + 1))
             chunk_marks.append(len(recorder))
-            chunk_outstanding.append(controller.outstanding)
-            chunk_queued.append(sum(vault.queued for vault in board.device.vaults))
     finally:
         controller.recorder = None
     probe_wall_s = time.perf_counter() - wall_start
+    # The closed loop's in-flight population at the probe's end: the N
+    # of Little's law.
+    outstanding = float(controller.outstanding)
     probe_snap = sim.snapshot()
     probe_window_events = probe_snap["events_processed"] - entry["events_processed"]
-    assert span_entry is not None and span_snapshot is not None
+    assert span_entry is not None
     span_engine_events = probe_snap["events_processed"] - span_entry["events_processed"]
 
     def fallback(reason: str, certification: Optional[Certification] = None):
@@ -486,6 +425,7 @@ def run_window(board, window_ns: float) -> VectorOutcome:
             window_wall_s=time.perf_counter() - wall_start,
             events=window_events,
             events_equivalent=window_events,
+            simulated_ns=window_ns,
             probe_wall_s=probe_wall_s,
             certification=certification,
         )
@@ -499,8 +439,6 @@ def run_window(board, window_ns: float) -> VectorOutcome:
             for lo, hi in zip(marks[:-1], marks[1:])
         ]
     )
-    obs_outstanding = np.asarray(chunk_outstanding, dtype=float)
-    obs_queued = np.asarray(chunk_queued, dtype=float)
 
     in_span = times > span_start_ns
     span_records = int(in_span.sum())
@@ -515,7 +453,6 @@ def run_window(board, window_ns: float) -> VectorOutcome:
     rate, intercept = np.polyfit(
         span_times - span_start_ns, np.arange(span_records, dtype=float), 1
     )
-    outstanding = float(obs_outstanding[-1])
     if rate <= 0.0 or outstanding <= 0.0:
         return fallback("no stationary flow to fit")
     latency_model = outstanding / rate  # Little's law
@@ -546,9 +483,7 @@ def run_window(board, window_ns: float) -> VectorOutcome:
         )
 
     # Synthetic model chunks next to the observed ones, through the
-    # certification gate.  In the certified steady state every vault's
-    # occupancy is revisited, so the model chunks hold the queue depth
-    # (like the in-flight population) at its calibration-end value.
+    # certification gate.
     rel_edges = (probe_end_ns - span_start_ns) + chunk_ns * np.arange(
         MODEL_CHUNKS + 1, dtype=float
     )
@@ -556,15 +491,13 @@ def run_window(board, window_ns: float) -> VectorOutcome:
     certification = _certify(
         np.concatenate([obs_events, model_events]),
         np.concatenate([obs_latency, np.full(MODEL_CHUNKS, latency_model)]),
-        np.concatenate([obs_outstanding, np.full(MODEL_CHUNKS, outstanding)]),
-        np.concatenate([obs_queued, np.full(MODEL_CHUNKS, obs_queued[-1])]),
     )
     if not certification.certified:
         return fallback(certification.reason, certification)
 
     # Advance the tail from the model: counts and bytes from the fitted
     # rate, latencies from the span records scaled to pin the Little's
-    # law mean, stations scaled across the tail.
+    # law mean.  Stations keep their probe counters.
     tail_start_wall = time.perf_counter()
     span_ns = chunk_ns * SPAN_CHUNKS
     tail_ns = window_end_ns - probe_end_ns
@@ -593,7 +526,6 @@ def run_window(board, window_ns: float) -> VectorOutcome:
         controller.write_latency.stats = controller.write_latency.stats.merge(
             write_tail
         )
-    _scale_stations(board, span_snapshot, tail_ns / span_ns)
     controller.end_measurement(at=window_end_ns)
     tail_wall_s = time.perf_counter() - tail_start_wall
 
@@ -606,6 +538,7 @@ def run_window(board, window_ns: float) -> VectorOutcome:
         window_wall_s=time.perf_counter() - wall_start,
         events=probe_window_events,
         events_equivalent=events_equivalent,
+        simulated_ns=probe_end_ns - window_start,
         probe_wall_s=probe_wall_s,
         tail_wall_s=tail_wall_s,
         certification=certification,

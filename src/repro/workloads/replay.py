@@ -36,11 +36,6 @@ class ReplayResult:
         """Raw bandwidth, counted the paper's way (GB/s)."""
         return self.raw_bytes / self.elapsed_ns if self.elapsed_ns > 0 else 0.0
 
-    @property
-    def references_per_us(self) -> float:
-        return self.references / self.elapsed_ns * 1e3 if self.elapsed_ns > 0 else 0.0
-
-
 class TraceReplayer:
     """Replays traces on a simulated board; reusable sequentially."""
 

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.core.experiment import parity_errors
 
 
 # ----------------------------------------------------------------------
@@ -86,9 +87,9 @@ def test_parity_errors_are_nan_aware():
             write_latency_avg_ns=write_lat,
         )
 
-    both_nan = cli._parity_errors(measurement(math.nan), measurement(math.nan))
+    both_nan = parity_errors(measurement(math.nan), measurement(math.nan))
     assert both_nan["write_latency_avg_ns"] == 0.0
-    one_nan = cli._parity_errors(measurement(math.nan), measurement(900.0))
+    one_nan = parity_errors(measurement(math.nan), measurement(900.0))
     assert one_nan["write_latency_avg_ns"] == math.inf
 
 

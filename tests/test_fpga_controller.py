@@ -183,16 +183,11 @@ def test_end_measurement_at_closes_window_at_given_edge():
     assert controller.traffic.window_ns == pytest.approx(500.0)
 
 
-def test_link_snapshot_and_token_low_water_reset():
+def test_token_low_water_reset():
     board = AC510Board()
     link = board.device.links[0]
     submit_and_run(
         board, Request(address=0, payload_bytes=128, is_write=False, port=0)
-    )
-    snap = link.snapshot()
-    assert snap["tx_packets"] >= 1
-    assert snap["tokens_low_water"] < snap["tokens_available"] or (
-        snap["tokens_low_water"] == snap["tokens_available"]
     )
     assert link.tokens.low_water <= link.tokens.capacity
     drained_low = link.tokens.low_water

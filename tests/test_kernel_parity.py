@@ -4,14 +4,18 @@ The kernel's whole contract is "indistinguishable within 0.1% where it
 engages, bit-identical where it does not".  These tests pin both halves:
 certified full-window points against event-exact DES runs, the dynamic
 decertification fallback, the static routing (topology, faults,
-tracing, short windows), a point's independence from its batch - plus
+tracing, short windows), a point's independence from its batch, the
+full-window grid-vector set against its committed DES references - plus
 unit tests for the certification math.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ import pytest
 from repro.core.experiment import (
     ExperimentSettings,
     MeasurementPoint,
+    parity_errors,
     simulate_point,
     simulate_point_observed,
 )
@@ -34,23 +39,8 @@ FAST = ExperimentSettings(warmup_us=10.0, window_us=40.0)
 PARITY_TOL = 0.001
 
 
-def _rel(base: float, other: float) -> float:
-    if math.isnan(base) and math.isnan(other):
-        return 0.0
-    if math.isnan(base) or math.isnan(other):
-        return math.inf
-    if base == 0.0:
-        return abs(other)
-    return abs(other - base) / abs(base)
-
-
 def _worst_error(des, hybrid) -> float:
-    return max(
-        _rel(des.bandwidth_gbs, hybrid.bandwidth_gbs),
-        _rel(des.mrps, hybrid.mrps),
-        _rel(des.read_latency_avg_ns, hybrid.read_latency_avg_ns),
-        _rel(des.write_latency_avg_ns, hybrid.write_latency_avg_ns),
-    )
+    return max(parity_errors(des, hybrid).values())
 
 
 def _point(settings, request_type=RequestType.READ, payload=128,
@@ -66,9 +56,8 @@ def _point(settings, request_type=RequestType.READ, payload=128,
 # ----------------------------------------------------------------------
 # the --fast grid under the vector kernel: every ro/wo/rw point's window
 # is below MIN_WINDOW_US, so each one routes to the DES statically and
-# matches it bit for bit.  Full-window grid parity is not gated here -
-# slowly wandering linear walks can land 0.1-0.3% off - so the fallback
-# contract on this grid is the one the suite pins.
+# matches it bit for bit.  The full-window grid is pinned by the
+# grid-vector tests below.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("payload", [32, 64, 128])
 @pytest.mark.parametrize(
@@ -147,11 +136,7 @@ CERT_INPUT_CHUNKS = vectorprobe.PROBE_CHUNKS + vectorprobe.MODEL_CHUNKS
 
 
 def _stationary_chunks(chunks=CERT_INPUT_CHUNKS):
-    events = np.full(chunks, 1000.0)
-    lats = np.full(chunks, 500.0)
-    outstanding = np.full(chunks, 64.0)
-    queued = np.zeros(chunks)
-    return events, lats, outstanding, queued
+    return np.full(chunks, 1000.0), np.full(chunks, 500.0)
 
 
 def test_certify_accepts_stationary_stream():
@@ -161,41 +146,29 @@ def test_certify_accepts_stationary_stream():
 
 
 def test_certify_rejects_trending_completion_rate():
-    events, lats, outstanding, queued = _stationary_chunks()
+    events, lats = _stationary_chunks()
     events = events * np.linspace(1.0, 1.3, len(events))
-    cert = vectorprobe._certify(events, lats, outstanding, queued)
+    cert = vectorprobe._certify(events, lats)
     assert not cert.certified
     assert "non-stationary" in cert.reason
 
 
 def test_certify_rejects_empty_or_completionless_chunks():
-    events, lats, outstanding, queued = _stationary_chunks()
+    events, lats = _stationary_chunks()
     empty = events.copy()
     empty[-1] = 0.0
-    assert not vectorprobe._certify(empty, lats, outstanding, queued).certified
+    assert not vectorprobe._certify(empty, lats).certified
     nan_lats = lats.copy()
     nan_lats[-2] = math.nan
-    assert not vectorprobe._certify(events, nan_lats, outstanding, queued).certified
+    assert not vectorprobe._certify(events, nan_lats).certified
 
 
 def test_certify_rejects_oscillating_latency():
-    events, lats, outstanding, queued = _stationary_chunks()
+    events, lats = _stationary_chunks()
     lats = lats * (1.0 + 0.05 * np.array([(-1.0) ** i for i in range(len(lats))]))
-    cert = vectorprobe._certify(events, lats, outstanding, queued)
+    cert = vectorprobe._certify(events, lats)
     assert not cert.certified
     assert "latency" in cert.reason
-
-
-def test_certify_all_zero_queued_span_skips_queue_gate():
-    # Workloads that never queue (all-zero chunk_queued) must certify:
-    # the queue gate only engages at depths >= MIN_QUEUE_DEPTH_FOR_GATE,
-    # and a zero-depth span reports a clean 0.0 spread rather than the
-    # inf a naive relative spread of zeros would produce.
-    events, lats, outstanding, queued = _stationary_chunks()
-    assert not queued.any()
-    cert = vectorprobe._certify(events, lats, outstanding, queued)
-    assert cert.certified
-    assert cert.queue_spread == 0.0
 
 
 def test_certify_single_completion_chunks():
@@ -205,30 +178,28 @@ def test_certify_single_completion_chunks():
     # stream certifies) instead of tripping an emptiness guard.
     events = np.ones(CERT_INPUT_CHUNKS)
     lats = np.full(CERT_INPUT_CHUNKS, 480.0)
-    outstanding = np.ones(CERT_INPUT_CHUNKS)
-    queued = np.zeros(CERT_INPUT_CHUNKS)
-    cert = vectorprobe._certify(events, lats, outstanding, queued)
+    cert = vectorprobe._certify(events, lats)
     assert cert.certified
     assert cert.event_spread == 0.0
     # ... but one missing completion in the span decertifies.
     gappy = events.copy()
     gappy[-3] = 0.0
-    assert not vectorprobe._certify(gappy, lats, outstanding, queued).certified
+    assert not vectorprobe._certify(gappy, lats).certified
 
 
 def test_certify_nan_latency_means_decertify():
     # A NaN latency mean marks a chunk that saw no completions; one NaN
     # anywhere in the span - first, last, or everywhere - must decertify
     # (NaNs would otherwise propagate into every spread metric).
-    events, lats, outstanding, queued = _stationary_chunks()
+    events, lats = _stationary_chunks()
     for position in (len(lats) - vectorprobe.CERT_CHUNKS, len(lats) - 1):
         nan_lats = lats.copy()
         nan_lats[position] = math.nan
-        cert = vectorprobe._certify(events, nan_lats, outstanding, queued)
+        cert = vectorprobe._certify(events, nan_lats)
         assert not cert.certified
         assert cert.reason == "chunk without completions"
     all_nan = np.full_like(lats, math.nan)
-    assert not vectorprobe._certify(events, all_nan, outstanding, queued).certified
+    assert not vectorprobe._certify(events, all_nan).certified
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +226,12 @@ def test_vector_certified_point_matches_des_within_tolerance(
     assert des_info["kernel"] == "des"
     assert vec_info["kernel"] == "vector", vec_info["reason"]
     assert _worst_error(des_m, vec_m) <= PARITY_TOL
+    # The stations, read over the probe the engine simulated, name the
+    # DES's bottleneck at its utilization.
+    des_hot = des_info["stations"].bottleneck
+    vec_hot = vec_info["stations"].bottleneck
+    assert vec_hot.name == des_hot.name
+    assert vec_hot.utilization == pytest.approx(des_hot.utilization, abs=0.01)
     # 3 calibration chunks of 48: a 16x advance.
     assert vec_info["events_equivalent"] / vec_info["events"] >= 15.0
     # The wall breakdown is observable and covers the window wall.
@@ -333,6 +310,91 @@ def test_vector_point_result_is_independent_of_its_batch():
     alone = record(1, [point])
     assert record(1, [neighbour, point]) == alone
     assert record(2, [neighbour, point]) == alone
+
+
+# ----------------------------------------------------------------------
+# soundness over the full-window grid: the 18 points of perfbench's
+# grid-vector workload against their committed DES references
+# ----------------------------------------------------------------------
+REFERENCE_PATH = (
+    Path(__file__).resolve().parent.parent
+    / "perfbench" / "reference" / "grid-vector-des.json"
+)
+
+GRID_VECTOR_POINTS = {
+    f"{request}{size}-{mode}": (request, size, mode)
+    for request in ("ro", "wo", "rw")
+    for size in (32, 64, 128)
+    for mode in ("linear", "random")
+}
+
+#: Certified windows known to land outside the 0.1% budget: the gate
+#: cannot yet tell a slowly wandering 16-vault linear walk from a
+#: stationary one.  Strict, so a fix that brings one within budget -
+#: or decertifies it - has to drop its mark.
+KNOWN_OVER_BUDGET = {
+    "ro32-linear": "0.261% off the DES",
+    "wo32-linear": "0.251% off the DES",
+    "ro64-linear": "0.118% off the DES",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_vector_run(label):
+    """One grid-vector point under the vector kernel, with its DES record."""
+    from repro.core.cache import cache_key
+    from repro.core.patterns import pattern_by_name
+
+    request, payload, mode = GRID_VECTOR_POINTS[label]
+    settings = replace(DEFAULT, kernel="vector")
+    point = MeasurementPoint.for_pattern(
+        pattern_by_name("16 vaults", settings.config),
+        RequestType.from_label(request),
+        payload,
+        settings,
+        AddressingMode.from_label(mode),
+    )
+    record = json.loads(REFERENCE_PATH.read_text())["points"][
+        cache_key(replace(point, settings=DEFAULT))
+    ]
+    measurement, info = simulate_point_observed(point)
+    return measurement, info["kernel"], info["reason"], record
+
+
+@pytest.mark.parametrize("label", GRID_VECTOR_POINTS)
+def test_grid_vector_certifies_exactly_the_ro_wo_windows(label):
+    from repro.core import schema
+
+    measurement, kernel, reason, record = _grid_vector_run(label)
+    if label.startswith("rw"):
+        # Read-modify-write windows fall back: they are the DES, bit for bit.
+        assert kernel == "des"
+        assert schema.measurement_to_dict(measurement) == record
+    else:
+        assert kernel == "vector", reason
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        pytest.param(
+            label,
+            marks=pytest.mark.xfail(
+                strict=True, reason=f"certified {KNOWN_OVER_BUDGET[label]}"
+            ),
+        )
+        if label in KNOWN_OVER_BUDGET
+        else label
+        for label in GRID_VECTOR_POINTS
+        if not label.startswith("rw")
+    ],
+)
+def test_grid_vector_certified_window_within_budget(label):
+    from repro.core import schema
+
+    measurement, _, _, record = _grid_vector_run(label)
+    reference = schema.measurement_from_dict(record)
+    assert _worst_error(reference, measurement) <= PARITY_TOL
 
 
 def test_kept_benchmark_entry_points_run_each_point_alone():
