@@ -1,20 +1,19 @@
 """Campaign driver: regenerate every experiment in one run.
 
-``run_campaign`` executes each registered experiment module, captures
-its regenerated table/figure text, runs its ``check_shape`` claims
-verification when present, and assembles a single report - the
-programmatic equivalent of re-running the paper's whole evaluation.
+``run_campaign`` executes each registered experiment module through the
+protocol every module shares (see :mod:`repro.experiments`): ``run``
+once, ``check_shape`` once on its result, then ``report`` to render the
+regenerated table/figure with its verdict, and assembles a single
+report - the programmatic equivalent of re-running the paper's whole
+evaluation.  Every module's claims gate the outcome, the static tables
+and Fig. 3 included.
 
-With ``jobs > 1`` the campaign parallelizes at two levels:
-
-* **point level** - every experiment module exposing
-  ``measurement_points(settings)`` contributes its simulation grid to
-  one deduplicated prefetch batch that the measurement executor fans
-  out across worker processes before any experiment runs;
-* **experiment level** - the experiments themselves then run across the
-  same persistent process-wide pool (already warm from the prefetch),
-  reading the prefetched results back from the on-disk cache (and, on
-  fork platforms, the inherited in-process memo).
+With ``jobs > 1`` the campaign parallelizes at the point level: every
+experiment module exposing ``measurement_points(settings)`` contributes
+its simulation grid to one deduplicated prefetch batch that the
+measurement executor fans out across worker processes before any
+experiment runs.  The experiments then run one after another in this
+process and read the prefetched results back from the in-process memo.
 
 Results are independent of ``jobs``: outcomes are keyed and ordered by
 experiment id, and each measurement is a deterministic function of its
@@ -23,10 +22,7 @@ experiment id, and each measurement is a deterministic function of its
 
 from __future__ import annotations
 
-import inspect
-import io
 import time
-from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -56,7 +52,7 @@ class CampaignResult:
     outcomes: Dict[str, ExperimentOutcome]
     #: Wall time of the parallel prefetch that ``jobs > 1`` runs before
     #: any experiment starts (0.0 when there was none).  The experiments
-    #: then read the prefetched points from the cache, so without this
+    #: then read the prefetched points from the memo, so without this
     #: figure a pooled campaign's simulation time appears nowhere.
     prefetch_seconds: float = 0.0
 
@@ -96,43 +92,15 @@ class CampaignResult:
         return "\n".join(parts)
 
 
-def _call_with_optional_settings(func, settings: ExperimentSettings):
-    """Invoke ``func``, passing settings only when it takes them.
-
-    Static experiments (the tables, Fig. 3) have no simulation window to
-    configure; their entry points simply lack a ``settings`` parameter.
-    """
-    if "settings" in inspect.signature(func).parameters:
-        return func(settings)
-    return func()
-
-
-def _check_shape(module, result, settings: ExperimentSettings):
-    """Run a module's shape claims, passing settings when it takes them.
-
-    Device-aware checks (fig7, fig18) gate their HMC-specific claims on
-    ``settings.device``; the rest keep their one-argument signature.
-    """
-    if "settings" in inspect.signature(module.check_shape).parameters:
-        return list(module.check_shape(result, settings))
-    return list(module.check_shape(result))
-
-
 def run_experiment(
     experiment_id: str, settings: ExperimentSettings = ExperimentSettings()
 ) -> ExperimentOutcome:
-    """Run one experiment module; capture its report and claims."""
+    """Run one experiment module once; render its report and claims."""
     module = load(experiment_id)
     started = time.perf_counter()
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        _call_with_optional_settings(module.main, settings)
-    report = buffer.getvalue().rstrip()
-
-    problems: List[str] = []
-    if hasattr(module, "check_shape") and hasattr(module, "run"):
-        result = _call_with_optional_settings(module.run, settings)
-        problems = _check_shape(module, result, settings)
+    result = module.run(settings)
+    problems = module.check_shape(result, settings)
+    report = module.report(result, problems, settings)
     return ExperimentOutcome(
         experiment_id=experiment_id,
         report=report,
@@ -155,26 +123,8 @@ def collect_measurement_points(
         module = load(experiment_id)
         hook = getattr(module, "measurement_points", None)
         if hook is not None:
-            points.extend(_call_with_optional_settings(hook, settings))
+            points.extend(hook(settings))
     return points
-
-
-def _run_experiment_in_worker(
-    experiment_id: str, settings: ExperimentSettings, use_cache: bool
-) -> ExperimentOutcome:
-    """Run one experiment inside a shared-pool worker.
-
-    The campaign reuses the process-wide measurement pool for its
-    experiment-level fan-out, so there is no per-campaign initializer
-    hook; instead each task pins the worker to ``jobs=1`` (workers must
-    not nest process pools) before running the experiment.  Configuring
-    per task is idempotent and keeps the worker usable for ordinary
-    measurement batches afterwards.  It also clears the fleet a forked
-    worker inherits: the parent's client connection is not the worker's
-    to write to, so a worker's misses simulate in the worker.
-    """
-    parallel.configure(jobs=1, use_cache=use_cache, fleet=None)
-    return run_experiment(experiment_id, settings)
 
 
 def run_campaign(
@@ -188,9 +138,7 @@ def run_campaign(
     The cached bandwidth measurements are shared across experiments, so
     the campaign costs far less than the sum of standalone runs.  With
     ``jobs > 1``, unique measurement points are prefetched across a
-    worker pool first, then the experiments themselves run in parallel
-    (experiment-level parallelism requires the disk cache, which is how
-    workers share the prefetched results).
+    worker pool first; the experiments then run in order here.
     """
     ids = list(experiment_ids) if experiment_ids is not None else list(REGISTRY)
     unknown = [i for i in ids if i not in REGISTRY]
@@ -205,15 +153,5 @@ def run_campaign(
             if points:
                 parallel.get_executor().measure_points(points)
             prefetch_seconds = time.perf_counter() - started
-        if jobs > 1 and use_cache and len(ids) > 1:
-            # Reuse the process-wide measurement pool: its workers are
-            # already warm from the prefetch above.
-            pool = parallel.get_pool(jobs)
-            futures = {
-                i: pool.submit(_run_experiment_in_worker, i, settings, use_cache)
-                for i in ids
-            }
-            outcomes = {i: futures[i].result() for i in ids}
-        else:
-            outcomes = {i: run_experiment(i, settings) for i in ids}
+        outcomes = {i: run_experiment(i, settings) for i in ids}
     return CampaignResult(outcomes=outcomes, prefetch_seconds=prefetch_seconds)

@@ -9,7 +9,12 @@ port count grids) - an embarrassingly parallel workload.  The
 1. deduplicates them by content-addressed cache key,
 2. serves repeats from the in-process memo, then the on-disk
    :class:`~repro.core.cache.ResultCache`,
-3. fans the remaining unique misses out across a persistent, process-wide
+3. simulates each remaining physical point once per process - points
+   that differ only in their display label (``pattern_name``) share one
+   simulation, and each label gets the result relabeled, under its own
+   key (the disk cache holds only the labeled keys, so a later process
+   with a disk hit for one label still simulates another label once) -
+   fanning the unique misses out across a persistent, process-wide
    worker pool (see below), and
 4. returns results in submission order,
 
@@ -68,7 +73,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -497,7 +502,9 @@ class MeasurementExecutor:
         coalescing identity) and submits ``{key: point}`` maps here, so
         the key work is never repeated.  Each key resolves memo -> disk
         cache -> miss backend: the unique misses fan out across the
-        worker pool, or travel to the fleet as one pipelined batch.  New
+        worker pool, or travel to the fleet as one pipelined batch.
+        Misses that differ only in ``pattern_name`` run once per process,
+        and each label gets the result relabeled, under its own key.  New
         results are persisted with one batched
         :meth:`~repro.core.cache.ResultCache.store_many` call, and the
         returned map covers every submitted key.
@@ -507,7 +514,11 @@ class MeasurementExecutor:
 
         memo_hits = 0
         disk_hits = 0
-        missing: Dict[str, MeasurementPoint] = {}
+        # Misses grouped by physics: the label reaches no simulation
+        # input, so the memo also holds each simulated result under its
+        # unlabeled key (as the unlabeled point's own result), and every
+        # label of one physical point shares one simulation.
+        missing: Dict[str, List[Tuple[str, MeasurementPoint]]] = {}
         for key, point in keyed.items():
             memoized = _MEMO.get(key)
             if memoized is not None:
@@ -521,29 +532,41 @@ class MeasurementExecutor:
                     _MEMO[key] = stored
                     results[key] = stored
                     continue
-            missing[key] = point
-        if memo_hits or disk_hits:
-            self._count(memo_hits=memo_hits, disk_hits=disk_hits)
+            unlabeled = cache_key(replace(point, pattern_name=""))
+            missing.setdefault(unlabeled, []).append((key, point))
 
-        if missing:
-            miss_keys = list(missing)
-            miss_points = [missing[key] for key in miss_keys]
+        measured = {u: m for u in missing if (m := _MEMO.get(u)) is not None}
+        to_run = [u for u in missing if u not in measured]
+        if to_run:
+            run_points = [missing[u][0][1] for u in to_run]
             if self.fleet is not None:
                 # The shards that run these simulations count them.
-                measurements = self.fleet.measure_many(miss_points)
+                measurements = self.fleet.measure_many(run_points)
             else:
-                outcomes = self._run_misses(miss_points)
+                outcomes = self._run_misses(run_points)
                 measurements = [measurement for measurement, _ in outcomes]
                 self._count(
                     simulations=len(outcomes),
                     events_simulated=sum(events for _, events in outcomes),
                 )
-            fresh = list(zip(miss_keys, measurements))
-            for key, measurement in fresh:
-                _MEMO[key] = measurement
-                results[key] = measurement
-            if cache is not None:
-                cache.store_many(fresh)
+            for unlabeled, measurement in zip(to_run, measurements):
+                measured[unlabeled] = _MEMO[unlabeled] = replace(
+                    measurement, pattern_name=""
+                )
+        memo_hits += sum(len(labels) for labels in missing.values()) - len(to_run)
+        if memo_hits or disk_hits:
+            self._count(memo_hits=memo_hits, disk_hits=disk_hits)
+
+        fresh = [
+            (key, replace(measured[unlabeled], pattern_name=point.pattern_name))
+            for unlabeled, labels in missing.items()
+            for key, point in labels
+        ]
+        for key, measurement in fresh:
+            _MEMO[key] = measurement
+            results[key] = measurement
+        if fresh and cache is not None:
+            cache.store_many(fresh)
         return results
 
     def _run_misses(

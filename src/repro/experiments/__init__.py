@@ -1,9 +1,22 @@
 """One module per table/figure of the paper's evaluation.
 
-Every module exposes ``run(settings)`` returning a structured result and
-``main()`` printing the regenerated table/figure with paper-vs-measured
-annotations.  ``REGISTRY`` maps experiment ids to their modules so the
-campaign driver and the benchmark harness can enumerate them.
+Every module follows one protocol:
+
+* ``run(settings) -> result`` regenerates the table/figure as a
+  structured result;
+* ``check_shape(result, settings) -> List[str]`` checks it against the
+  paper's published values and claims, one problem string per
+  deviation (``settings`` defaults, so ``check_shape(result)`` works);
+* ``report(result, problems, settings) -> str`` renders the table/figure
+  with paper-vs-measured annotations and the verdict for ``problems``;
+* optionally ``measurement_points(settings)``, the simulation grid the
+  campaign prefetches in one batch.
+
+:func:`repro.core.campaign.run_experiment` calls ``run``,
+``check_shape`` and ``report`` once each; ``repro run <id>`` prints the
+report and exits 1 on any problem.  ``REGISTRY`` maps experiment ids to
+their modules so the campaign driver and the benchmark harness can
+enumerate them.
 """
 
 from __future__ import annotations

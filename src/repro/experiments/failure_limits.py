@@ -67,7 +67,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> FailureMatrix:
     )
 
 
-def check_shape(matrix: FailureMatrix) -> List[str]:
+def check_shape(
+    matrix: FailureMatrix, settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     for label, expected in PAPER_FAILURES.items():
         got = matrix.failures_for(label)
@@ -79,8 +81,9 @@ def check_shape(matrix: FailureMatrix) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    matrix = run(settings)
+def report(
+    matrix: FailureMatrix, problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = []
     for request_type in REQUEST_TYPES:
         label = request_type.value
@@ -100,16 +103,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         + " -> ".join(matrix.recovery_steps)
         + f" (~{matrix.recovery_seconds:.0f} s; DRAM contents lost)."
     )
-    problems = check_shape(matrix)
     text += (
         "\nMatches the paper: ro survives everywhere (~80 degC peak); writes"
         "\nfail ~10 degC earlier, losing Cfg3/Cfg4 (wo) and Cfg4 (rw)."
         if not problems
         else "\nDeviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

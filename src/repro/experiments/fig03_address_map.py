@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.experiment import ExperimentSettings
 from repro.core.report import render_table
 from repro.hmc.address import AddressMapping
-from repro.hmc.config import HMC_1_1_4GB, HMCConfig
+from repro.hmc.config import HMC_1_1_4GB
 
 #: Field bit positions the paper's Figure 3 draws, per max block size:
 #: (vault field low, bank field low, bank field end).
@@ -20,11 +21,11 @@ PAPER_FIELD_POSITIONS = {
 }
 
 
-def run(config: HMCConfig = HMC_1_1_4GB) -> Dict[int, Dict]:
+def run(settings: ExperimentSettings = ExperimentSettings()) -> Dict[int, Dict]:
     """Field layouts and page footprints for the three mappings."""
     out = {}
     for max_block in (128, 64, 32):
-        mapping = AddressMapping(config, max_block_bytes=max_block)
+        mapping = AddressMapping(HMC_1_1_4GB, max_block_bytes=max_block)
         vaults, banks = mapping.page_footprint(0)
         out[max_block] = {
             "layout": mapping.field_layout(),
@@ -35,7 +36,9 @@ def run(config: HMCConfig = HMC_1_1_4GB) -> Dict[int, Dict]:
     return out
 
 
-def field_position_errors(results: Dict[int, Dict]) -> List[str]:
+def check_shape(
+    results: Dict[int, Dict], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     errors = []
     for max_block, (vault_low, bank_low, bank_end) in PAPER_FIELD_POSITIONS.items():
         layout = results[max_block]["layout"]
@@ -52,8 +55,9 @@ def field_position_errors(results: Dict[int, Dict]) -> List[str]:
     return errors
 
 
-def main() -> str:
-    results = run()
+def report(
+    results: Dict[int, Dict], problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = []
     for max_block, info in results.items():
         layout = info["layout"]
@@ -79,16 +83,10 @@ def main() -> str:
         rows,
         title="Figure 3: HMC 1.1 4GB address mapping by max block size",
     )
-    errors = field_position_errors(results)
     text += (
         "\nField positions match Figure 3; a 4K page spans 2 banks x 16 vaults"
         " and 128 sequential pages reach full BLP (paper SII-C)."
-        if not errors
-        else "\nDeviations: " + "; ".join(errors)
+        if not problems
+        else "\nDeviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -57,7 +57,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> List[MaskPoint]:
     return points
 
 
-def check_shape(points: List[MaskPoint]) -> List[str]:
+def check_shape(
+    points: List[MaskPoint], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     """The paper's qualitative claims about Figure 6."""
     by_label = {p.label: p for p in points}
     problems = []
@@ -72,8 +74,9 @@ def check_shape(points: List[MaskPoint]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    points = run(settings)
+def report(
+    points: List[MaskPoint], problems: List[str], settings: ExperimentSettings
+) -> str:
     labels = [p.label for p in points]
     series = [
         (rt.value, [p.bandwidth_gbs[rt.value] for p in points]) for rt in REQUEST_TYPES
@@ -84,16 +87,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         series,
         title="Figure 6: bandwidth (GB/s) vs eight-bit mask position, 128 B requests",
     )
-    problems = check_shape(points)
     text += (
         "\nShape matches the paper: minimum at 7-14 (one bank), single-vault"
         "\ndrop between masks 2-9 and 3-10, recovery toward low-bit masks."
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

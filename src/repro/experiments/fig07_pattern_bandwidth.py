@@ -102,8 +102,9 @@ def check_shape(
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    results = run(settings)
+def report(
+    results: List[PatternBandwidth], problems: List[str], settings: ExperimentSettings
+) -> str:
     series = [
         (rt.value, [r.bandwidth_gbs[rt.value] for r in results])
         for rt in REQUEST_TYPES
@@ -114,7 +115,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         series,
         title="Figure 7: bandwidth (GB/s) by access pattern, 128 B requests",
     )
-    problems = check_shape(results, settings)
     if problems:
         text += "\nShape deviations: " + "; ".join(problems)
     elif settings.device != "hmc1":
@@ -127,9 +127,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
             "\nShape matches the paper: vault cap beyond 8 banks; rw > ro;"
             " rw ~ 2x wo."
         )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -62,7 +62,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> List[SizePoint]:
     return points
 
 
-def check_shape(points: List[SizePoint]) -> List[str]:
+def check_shape(
+    points: List[SizePoint], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     by_name = {p.pattern: p for p in points}
     problems = []
     distributed = by_name["16 vaults"]
@@ -80,8 +82,9 @@ def check_shape(points: List[SizePoint]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    points = run(settings)
+def report(
+    points: List[SizePoint], problems: List[str], settings: ExperimentSettings
+) -> str:
     series = [(f"BW {s}B", [p.bandwidth_gbs[s] for p in points]) for s in SIZES]
     series += [(f"MRPS {s}B", [p.mrps[s] for p in points]) for s in SIZES]
     text = render_series(
@@ -90,16 +93,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         series,
         title="Figure 8: read-only bandwidth (GB/s) and MRPS by request size",
     )
-    problems = check_shape(points)
     text += (
         "\nShape matches the paper: similar bandwidth across sizes, ~2x request"
         "\nrate for 32 B vs 128 B on distributed patterns."
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

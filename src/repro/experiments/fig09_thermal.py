@@ -98,7 +98,9 @@ def run(
     return panels
 
 
-def check_shape(panels: List[ThermalPanel]) -> List[str]:
+def check_shape(
+    panels: List[ThermalPanel], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     for panel in panels:
         for name, temps in panel.temperatures.items():
@@ -117,8 +119,9 @@ def check_shape(panels: List[ThermalPanel]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    panels = run(settings)
+def report(
+    panels: List[ThermalPanel], problems: List[str], settings: ExperimentSettings
+) -> str:
     blocks = []
     for panel in panels:
         series = [("BW GB/s", panel.bandwidth_gbs)]
@@ -133,7 +136,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
             ),
         )
         blocks.append(block)
-    problems = check_shape(panels)
     text = "\n\n".join(blocks)
     text += (
         "\nShape matches the paper: temperature tracks bandwidth; ro survives"
@@ -141,9 +143,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

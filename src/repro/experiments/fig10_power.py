@@ -86,7 +86,9 @@ def run(
     return panels
 
 
-def check_shape(panels: List[PowerPanel]) -> List[str]:
+def check_shape(
+    panels: List[PowerPanel], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     for panel in panels:
         names = list(panel.system_power_w)
@@ -108,8 +110,9 @@ def check_shape(panels: List[PowerPanel]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    panels = run(settings)
+def report(
+    panels: List[PowerPanel], problems: List[str], settings: ExperimentSettings
+) -> str:
     blocks = []
     for panel in panels:
         series = [("BW GB/s", panel.bandwidth_gbs)]
@@ -129,7 +132,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
                 ),
             )
         )
-    problems = check_shape(panels)
     text = "\n\n".join(blocks)
     text += (
         "\nShape matches the paper: power rises with bandwidth and with"
@@ -137,9 +139,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -70,7 +70,10 @@ def run(
     return results
 
 
-def check_shape(results: Dict[str, RegressionResult]) -> List[str]:
+def check_shape(
+    results: Dict[str, RegressionResult],
+    settings: ExperimentSettings = ExperimentSettings(),
+) -> List[str]:
     problems = []
     for label, result in results.items():
         if result.temperature_fit.slope <= 0:
@@ -86,8 +89,11 @@ def check_shape(results: Dict[str, RegressionResult]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    results = run(settings)
+def report(
+    results: Dict[str, RegressionResult],
+    problems: List[str],
+    settings: ExperimentSettings,
+) -> str:
     rows = []
     for label, r in results.items():
         rows.append(
@@ -116,16 +122,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         rows,
         title="Figure 11: linear fits of temperature/power vs bandwidth (Cfg2)",
     )
-    problems = check_shape(results)
     text += (
         "\nShape matches the paper: positive slopes, wo steepest, ~3-4 degC and"
         "\n~2 W from 5 to 20 GB/s."
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

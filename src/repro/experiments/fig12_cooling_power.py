@@ -108,7 +108,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> List[CoolingPane
     return panels
 
 
-def check_shape(panels: List[CoolingPanel]) -> List[str]:
+def check_shape(
+    panels: List[CoolingPanel], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     for panel in panels:
         for target, series in panel.lines.items():
@@ -125,8 +127,9 @@ def check_shape(panels: List[CoolingPanel]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    panels = run(settings)
+def report(
+    panels: List[CoolingPanel], problems: List[str], settings: ExperimentSettings
+) -> str:
     blocks = []
     for panel in panels:
         series = [(f"{t:g}C", values) for t, values in panel.lines.items()]
@@ -141,7 +144,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
             ),
         )
         blocks.append(block)
-    problems = check_shape(panels)
     text = "\n\n".join(blocks)
     text += (
         f"\nShape matches the paper: every iso-temperature line rises with"
@@ -149,9 +151,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

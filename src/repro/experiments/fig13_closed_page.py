@@ -64,7 +64,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> List[ClosedPageG
     return groups
 
 
-def check_shape(groups: List[ClosedPageGroup]) -> List[str]:
+def check_shape(
+    groups: List[ClosedPageGroup], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     by_key = {(g.footprint, g.mode): g for g in groups}
     for footprint in FOOTPRINTS:
@@ -94,8 +96,9 @@ def effective_bandwidth_note() -> str:
     )
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    groups = run(settings)
+def report(
+    groups: List[ClosedPageGroup], problems: List[str], settings: ExperimentSettings
+) -> str:
     labels = [f"{g.footprint}/{g.mode.value}" for g in groups]
     series = [(f"{s}B", [g.bandwidth_gbs[s] for g in groups]) for s in SIZES]
     text = render_series(
@@ -104,7 +107,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         series,
         title="Figure 13: linear vs random read bandwidth (GB/s) by request size",
     )
-    problems = check_shape(groups)
     text += "\n" + effective_bandwidth_note()
     text += (
         "\nShape matches the paper: closed-page makes linear ~ random, and"
@@ -112,9 +114,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

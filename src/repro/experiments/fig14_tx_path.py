@@ -66,7 +66,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> LatencyBudget:
     )
 
 
-def check_shape(budget: LatencyBudget) -> List[str]:
+def check_shape(
+    budget: LatencyBudget, settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     if abs(budget.tx_ns - PAPER_TX_NS) > 10:
         problems.append(f"TX path {budget.tx_ns:.0f} ns far from paper's 287 ns")
@@ -85,8 +87,9 @@ def check_shape(budget: LatencyBudget) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    budget = run(settings)
+def report(
+    budget: LatencyBudget, problems: List[str], settings: ExperimentSettings
+) -> str:
     cycle = settings.calibration.fpga_cycle_ns
     rows = [[stage, cycles, cycles * cycle] for stage, cycles in TX_STAGES]
     rows.append(["total TX path", sum(c for _, c in TX_STAGES), budget.tx_ns])
@@ -105,15 +108,9 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         f"\nImplied time inside the HMC: {budget.in_hmc_16b_ns:.0f} ns"
         f" (paper ~{PAPER_IN_HMC_NS:.0f})."
     )
-    problems = check_shape(budget)
     text += (
         "\nAll latency components within tolerance of the paper."
         if not problems
         else "\nDeviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -53,7 +53,9 @@ def run(
     return panels
 
 
-def check_shape(panels: List[LowLoadPanel]) -> List[str]:
+def check_shape(
+    panels: List[LowLoadPanel], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     by_size = {p.payload_bytes: p for p in panels}
     for panel in panels:
@@ -77,8 +79,9 @@ def check_shape(panels: List[LowLoadPanel]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    panels = run(settings)
+def report(
+    panels: List[LowLoadPanel], problems: List[str], settings: ExperimentSettings
+) -> str:
     blocks = []
     for panel in panels:
         series = list(panel.series().items())
@@ -90,7 +93,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
                 title=f"Figure 15: low-load latency (us), {panel.payload_bytes} B requests",
             )
         )
-    problems = check_shape(panels)
     text = "\n\n".join(blocks)
     text += (
         "\nShape matches the paper: flat minimums, growing maximums, ~1.5x"
@@ -98,9 +100,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -70,7 +70,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> List[HighLoadPoi
     return points
 
 
-def check_shape(points: List[HighLoadPoint]) -> List[str]:
+def check_shape(
+    points: List[HighLoadPoint], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     by_name = {p.pattern: p for p in points}
     worst = by_name["1 bank"].latency_ns[128]
@@ -87,8 +89,9 @@ def check_shape(points: List[HighLoadPoint]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    points = run(settings)
+def report(
+    points: List[HighLoadPoint], problems: List[str], settings: ExperimentSettings
+) -> str:
     series = [
         (f"lat {s}B (us)", [p.latency_ns[s] / 1e3 for p in points]) for s in SIZES
     ]
@@ -106,16 +109,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
             f"\n{pattern} @{size} B: paper {paper_ns/1e3:.2f} us,"
             f" measured {measured/1e3:.2f} us"
         )
-    problems = check_shape(points)
     text += (
         "\nShape matches the paper: ~12x spread from distributed-small to"
         "\ntargeted-large, 32 B always fastest."
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -83,7 +83,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> OccupancyResult:
     return OccupancyResult(analyses=analyses)
 
 
-def check_shape(result: OccupancyResult) -> List[str]:
+def check_shape(
+    result: OccupancyResult, settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     for pattern_name in PATTERNS:
         occ = result.occupancies(pattern_name)
@@ -105,8 +107,9 @@ def check_shape(result: OccupancyResult) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    result = run(settings)
+def report(
+    result: OccupancyResult, problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = []
     for (pattern_name, size), a in result.analyses.items():
         rows.append(
@@ -130,12 +133,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         "\nOccupancy is constant across packet sizes, and doubling the banks"
         "\ndoubles it - one queue per bank in the vault controller."
     )
-    problems = check_shape(result)
     if problems:
         text += "\nShape deviations: " + "; ".join(problems)
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -133,8 +133,9 @@ def check_shape(
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    summaries = run(settings)
+def report(
+    summaries: List[SweepSummary], problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = [
         [
             s.pattern,
@@ -150,7 +151,6 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         rows,
         title="Figure 18: latency-bandwidth saturation by pattern and size",
     )
-    problems = check_shape(summaries, settings)
     if problems:
         text += "\nShape deviations: " + "; ".join(problems)
     elif settings.device != "hmc1":
@@ -164,9 +164,4 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
             " until\nthe 10 GB/s vault cap; two vaults saturate near 2x one"
             " vault."
         )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

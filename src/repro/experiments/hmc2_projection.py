@@ -91,7 +91,10 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> List[GenerationC
     return rows
 
 
-def check_shape(rows: List[GenerationComparison]) -> List[str]:
+def check_shape(
+    rows: List[GenerationComparison],
+    settings: ExperimentSettings = ExperimentSettings(),
+) -> List[str]:
     by_name = {r.pattern: r for r in rows}
     problems = []
     # Single-bank/vault limits are internal: the projection should show
@@ -106,8 +109,9 @@ def check_shape(rows: List[GenerationComparison]) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    rows = run(settings)
+def report(
+    rows: List[GenerationComparison], problems: List[str], settings: ExperimentSettings
+) -> str:
     text = render_series(
         "Pattern",
         [r.pattern for r in rows],
@@ -118,16 +122,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         ],
         title="Projection: read bandwidth, HMC 1.1 measured model vs HMC 2.0",
     )
-    problems = check_shape(rows)
     text += (
         "\nProjection consistent: internal (bank/vault) limits carry over;"
         "\ndistributed bandwidth scales with links and vault count."
         if not problems
         else "\nDeviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

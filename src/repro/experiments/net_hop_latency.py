@@ -105,7 +105,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> NetHopResult:
     )
 
 
-def check_shape(result: NetHopResult) -> List[str]:
+def check_shape(
+    result: NetHopResult, settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     latencies = [p.read_latency_avg_ns for p in result.points]
     if any(b <= a for a, b in zip(latencies, latencies[1:])):
@@ -118,8 +120,9 @@ def check_shape(result: NetHopResult) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    result = run(settings)
+def report(
+    result: NetHopResult, problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = [
         [
             str(p.cube),
@@ -134,16 +137,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         rows,
         title=f"Chain-{NUM_CUBES} hop latency, {PAYLOAD_BYTES} B low-load reads",
     )
-    problems = check_shape(result)
     text += (
         f"\nLinear in hops: each hop adds ~{result.expected_hop_ns:.0f} ns "
         "(request + response pass-through round-trip)."
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -103,7 +103,9 @@ def run(settings: ExperimentSettings = ExperimentSettings()) -> NetBandwidthResu
     )
 
 
-def check_shape(result: NetBandwidthResult) -> List[str]:
+def check_shape(
+    result: NetBandwidthResult, settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     problems = []
     if not result.local_gbs > result.spread_gbs > result.remote_gbs:
         problems.append(
@@ -128,8 +130,9 @@ def check_shape(result: NetBandwidthResult) -> List[str]:
     return problems
 
 
-def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
-    result = run(settings)
+def report(
+    result: NetBandwidthResult, problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = [
         ["local (cube 0)", f"{result.local_gbs:.2f}", f"{result.local_latency_ns:.0f}"],
         ["spread (all cubes)", f"{result.spread_gbs:.2f}", "-"],
@@ -145,16 +148,10 @@ def main(settings: ExperimentSettings = ExperimentSettings()) -> str:
         title=f"Chain-{NUM_CUBES} remote bandwidth, {PAYLOAD_BYTES} B reads",
     )
     text += f"\nPass-through link cap: {result.hop_cap_gbs:.2f} GB/s raw."
-    problems = check_shape(result)
     text += (
         "\nMatches the NoC study: remote traffic saturates the serial "
         "pass-through link; local keeps the full two-link bandwidth."
         if not problems
         else "\nShape deviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.experiment import ExperimentSettings
 from repro.core.report import render_table
 from repro.hmc.config import HMC_1_0, HMC_1_1_4GB, HMC_2_0_8GB
 
@@ -68,12 +69,14 @@ PAPER_TABLE = {
 DEVICES = (HMC_1_0, HMC_1_1_4GB, HMC_2_0_8GB)
 
 
-def run(devices=DEVICES) -> Dict[str, Dict]:
+def run(settings: ExperimentSettings = ExperimentSettings()) -> Dict[str, Dict]:
     """Derive every Table I row from the structural configs."""
-    return {device.name: device.table_row() for device in devices}
+    return {device.name: device.table_row() for device in DEVICES}
 
 
-def mismatches(derived: Dict[str, Dict]) -> List[str]:
+def check_shape(
+    derived: Dict[str, Dict], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     """Cells where the derived table disagrees with the published one."""
     diffs = []
     for name, paper_row in PAPER_TABLE.items():
@@ -87,20 +90,15 @@ def mismatches(derived: Dict[str, Dict]) -> List[str]:
     return diffs
 
 
-def main() -> str:
-    derived = run()
+def report(
+    derived: Dict[str, Dict], problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = [[name] + [row[c] for c in COLUMNS] for name, row in derived.items()]
     text = render_table(
         ("Device",) + COLUMNS, rows, title="Table I: properties of HMC versions"
     )
-    diffs = mismatches(derived)
-    if diffs:
-        text += "\nDeviations from the published table:\n  " + "\n  ".join(diffs)
+    if problems:
+        text += "\nDeviations from the published table:\n  " + "\n  ".join(problems)
     else:
         text += "\nAll derived cells match the published table."
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

@@ -8,30 +8,35 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.core.experiment import ExperimentSettings
 from repro.core.report import render_table
 from repro.thermal.cooling import ALL_CONFIGS, CoolingConfig
 
 PAPER_COOLING_POWER_W = {"Cfg1": 19.32, "Cfg2": 15.9, "Cfg3": 13.9, "Cfg4": 10.78}
 PAPER_IDLE_C = {"Cfg1": 43.1, "Cfg2": 51.7, "Cfg3": 62.3, "Cfg4": 71.6}
+COOLING_POWER_TOLERANCE_W = 0.05
 
 
-def run(configs=ALL_CONFIGS) -> List[CoolingConfig]:
-    return list(configs)
+def run(settings: ExperimentSettings = ExperimentSettings()) -> List[CoolingConfig]:
+    return list(ALL_CONFIGS)
 
 
-def cooling_power_errors(configs=ALL_CONFIGS, tolerance_w: float = 0.05) -> List[str]:
+def check_shape(
+    configs: List[CoolingConfig], settings: ExperimentSettings = ExperimentSettings()
+) -> List[str]:
     errors = []
     for cfg in configs:
         expected = PAPER_COOLING_POWER_W[cfg.name]
-        if abs(cfg.cooling_power_w - expected) > tolerance_w:
+        if abs(cfg.cooling_power_w - expected) > COOLING_POWER_TOLERANCE_W:
             errors.append(
                 f"{cfg.name}: paper={expected} W derived={cfg.cooling_power_w:.2f} W"
             )
     return errors
 
 
-def main() -> str:
-    configs = run()
+def report(
+    configs: List[CoolingConfig], problems: List[str], settings: ExperimentSettings
+) -> str:
     rows = [
         [
             cfg.name,
@@ -48,15 +53,9 @@ def main() -> str:
         rows,
         title="Table III: cooling configurations (+ derived cooling power, SIV-C)",
     )
-    errors = cooling_power_errors(configs)
     text += (
         "\nCooling powers match the paper's 19.32/15.9/13.9/10.78 W."
-        if not errors
-        else "\nDeviations: " + "; ".join(errors)
+        if not problems
+        else "\nDeviations: " + "; ".join(problems)
     )
-    print(text)
     return text
-
-
-if __name__ == "__main__":
-    main()

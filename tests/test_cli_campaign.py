@@ -23,6 +23,68 @@ def test_run_experiment_static():
     assert outcome.seconds >= 0
 
 
+def test_run_experiment_runs_and_checks_once(monkeypatch):
+    """One ``run``, one ``check_shape`` on its result, one ``report``."""
+    calls = []
+
+    class Stub:
+        @staticmethod
+        def run(settings):
+            calls.append("run")
+            return "result"
+
+        @staticmethod
+        def check_shape(result, settings):
+            calls.append(("check_shape", result))
+            return ["off"]
+
+        @staticmethod
+        def report(result, problems, settings):
+            calls.append(("report", result, problems))
+            return "text"
+
+    monkeypatch.setattr(campaign, "load", lambda experiment_id: Stub)
+    outcome = run_experiment("stub", ExperimentSettings())
+    assert calls == ["run", ("check_shape", "result"), ("report", "result", ["off"])]
+    assert (outcome.report, outcome.problems) == ("text", ["off"])
+    assert not outcome.passed
+
+
+def _break_published_value(monkeypatch, experiment_id):
+    """Change one published cell of a static experiment's paper table."""
+    from repro.experiments import load
+
+    module = load(experiment_id)
+    if experiment_id == "table1":
+        table = {name: dict(row) for name, row in module.PAPER_TABLE.items()}
+        table["HMC 1.1 (Gen2) 4GB"]["# Banks"] = 128
+        monkeypatch.setattr(module, "PAPER_TABLE", table)
+    elif experiment_id == "table2":
+        table = {kind: dict(sides) for kind, sides in module.PAPER_TABLE.items()}
+        table["Read"]["Response"] = (2, 5)
+        monkeypatch.setattr(module, "PAPER_TABLE", table)
+    elif experiment_id == "table3":
+        powers = dict(module.PAPER_COOLING_POWER_W, Cfg2=17.0)
+        monkeypatch.setattr(module, "PAPER_COOLING_POWER_W", powers)
+    else:
+        positions = dict(module.PAPER_FIELD_POSITIONS)
+        positions[64] = (7, 11, 15)
+        monkeypatch.setattr(module, "PAPER_FIELD_POSITIONS", positions)
+
+
+@pytest.mark.parametrize("experiment_id", STATIC_IDS)
+def test_a_published_value_deviation_gates_static_experiments(
+    monkeypatch, capsys, experiment_id
+):
+    _break_published_value(monkeypatch, experiment_id)
+    outcome = run_experiment(experiment_id)
+    assert not outcome.passed
+    assert len(outcome.problems) == 1
+    assert not run_campaign(experiment_ids=(experiment_id,)).passed
+    assert cli_main(["run", experiment_id]) == 1
+    assert "Shape deviations" in capsys.readouterr().err
+
+
 def test_run_experiment_simulated(tiny_settings):
     outcome = run_experiment("fig14", tiny_settings)
     assert outcome.passed

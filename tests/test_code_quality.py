@@ -63,18 +63,10 @@ def test_every_module_has_a_docstring():
 
 #: The experiment modules share one documented protocol (their package
 #: docstring): ``run`` builds the structured result, ``check_shape``
-#: verifies the paper's claims, ``main`` renders, and small result
+#: verifies the paper's claims, ``report`` renders, and small result
 #: dataclasses carry the rows.  Exempt that protocol from the per-item
 #: docstring requirement.
-EXPERIMENT_PROTOCOL = {
-    "run",
-    "main",
-    "check_shape",
-    "matches_paper",
-    "mismatches",
-    "field_position_errors",
-    "cooling_power_errors",
-}
+EXPERIMENT_PROTOCOL = {"run", "check_shape", "report"}
 
 
 def test_every_public_function_and_class_documented():

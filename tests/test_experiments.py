@@ -24,11 +24,12 @@ from repro.experiments import (
 )
 
 
-def test_registry_loads_every_module():
+def test_registry_modules_share_one_protocol():
     for experiment_id in REGISTRY:
         module = load(experiment_id)
-        assert hasattr(module, "run")
-        assert hasattr(module, "main")
+        for name in ("run", "check_shape", "report"):
+            assert callable(getattr(module, name, None)), (experiment_id, name)
+        assert not hasattr(module, "main"), experiment_id
 
 
 def test_registry_rejects_unknown():
@@ -40,20 +41,25 @@ def test_registry_rejects_unknown():
 # static experiments (no simulation)
 # ----------------------------------------------------------------------
 def test_table1_matches_paper():
-    assert tab01_properties.mismatches(tab01_properties.run()) == []
+    assert tab01_properties.check_shape(tab01_properties.run()) == []
 
 
 def test_table2_matches_paper():
-    assert tab02_packets.matches_paper(tab02_packets.run())
+    assert tab02_packets.check_shape(tab02_packets.run()) == []
+
+
+def test_table2_extra_row_deviates():
+    derived = dict(tab02_packets.run(), Atomic={"Request": (2, 2), "Response": (1, 1)})
+    assert len(tab02_packets.check_shape(derived)) == 1
 
 
 def test_table3_cooling_powers_match():
-    assert tab03_cooling.cooling_power_errors() == []
+    assert tab03_cooling.check_shape(tab03_cooling.run()) == []
 
 
 def test_fig3_field_positions_match():
     results = fig03_address_map.run()
-    assert fig03_address_map.field_position_errors(results) == []
+    assert fig03_address_map.check_shape(results) == []
     assert results[128]["pages_for_full_blp"] == 128
     assert results[128]["page_banks"] == 32
 

@@ -17,6 +17,7 @@ are cold in every cache.
 import os
 import signal
 import socket
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -575,34 +576,6 @@ def test_configured_fleet_reaches_only_get_executor():
     assert parallel.get_executor().fleet is None
 
 
-def test_a_campaign_worker_never_measures_through_the_parents_fleet(monkeypatch):
-    # A forked worker inherits the configured client, whose connection
-    # belongs to the parent; the worker task must clear it.
-    from repro.core import campaign
-
-    monkeypatch.setattr(
-        campaign, "run_experiment", lambda *_: parallel.get_executor().fleet
-    )
-    with parallel.configured(fleet=object()):
-        assert campaign._run_experiment_in_worker("fig07", _tiny(12.25), False) is None
-
-
-def test_a_campaign_worker_pins_jobs_and_keeps_the_cache_choice(monkeypatch):
-    from repro.core import campaign
-
-    def policy(*_):
-        executor = parallel.get_executor()
-        return executor.jobs, executor.use_cache, executor.fleet
-
-    monkeypatch.setattr(campaign, "run_experiment", policy)
-    with parallel.configured(jobs=4, use_cache=True, fleet=object()):
-        assert campaign._run_experiment_in_worker("fig07", _tiny(12.25), False) == (
-            1,
-            False,
-            None,
-        )
-
-
 class _FakeFleetClient:
     """Stands in for FleetClient in the CLI's ``--fleet`` wrapper."""
 
@@ -670,13 +643,20 @@ def test_cli_fleet_flag_restores_the_policy_when_the_command_fails(monkeypatch):
 
 
 def test_fleet_misses_deduplicate_before_the_wire():
+    @dataclass(frozen=True)
+    class Tagged:
+        """A stand-in result: the executor relabels what a miss returns."""
+
+        pattern_name: str
+        key: str
+
     class CountingClient:
         def __init__(self):
             self.batches = []
 
         def measure_many(self, points):
             self.batches.append(list(points))
-            return [f"m-{cache_key(p)[:8]}" for p in points]
+            return [Tagged(p.pattern_name, cache_key(p)) for p in points]
 
     settings = _tiny(window_us=12.375)
     point = _point(settings)

@@ -1,10 +1,17 @@
 """Tests for the batch measurement executor (dedup, memo, disk, pool)."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.core import parallel
-from repro.core.cache import ResultCache
-from repro.core.experiment import ExperimentSettings, MeasurementPoint
+from repro.core.cache import ResultCache, cache_key
+from repro.core.experiment import (
+    BandwidthMeasurement,
+    ExperimentSettings,
+    MeasurementPoint,
+)
 from repro.core.parallel import MeasurementExecutor
 from repro.core.patterns import pattern_by_name
 from repro.hmc.packet import RequestType
@@ -350,3 +357,77 @@ def test_reset_can_keep_the_memo(fresh_cache):
     executor.measure_points(_points([32]))
     counters = parallel.stats()
     assert (counters.simulations, counters.memo_hits) == (0, 1)
+
+
+def test_labels_of_one_physical_point_share_one_simulation(fresh_cache, monkeypatch):
+    """The label (``pattern_name``) reaches no simulation input: two
+    labels cost one simulation, each gets the record a simulation under
+    its own label gives, stored under its own key."""
+    simulated = []
+    original = parallel._simulate
+
+    def counting(point):
+        simulated.append(point)
+        return original(point)
+
+    monkeypatch.setattr(parallel, "_simulate", counting)
+    (point,) = _points([64])
+    alias = replace(point, pattern_name="alias")
+    executor = MeasurementExecutor(jobs=1)
+    first, second = executor.measure_points([point, alias])
+    assert len(simulated) == 1
+    assert (first.pattern_name, second.pattern_name) == (point.pattern_name, "alias")
+    assert repr(second) == repr(parallel.simulate_point(alias)[0])
+    # A later batch under a third label is served by the memo.
+    third = executor.measure_point(replace(point, pattern_name="third"))
+    assert len(simulated) == 1
+    assert third.pattern_name == "third"
+    counters = parallel.stats()
+    assert (counters.simulations, counters.memo_hits) == (1, 2)
+    # Each label lives on disk under its own, unchanged key.
+    for labeled, measured in ((point, first), (alias, second)):
+        assert repr(ResultCache().load(cache_key(labeled))) == repr(measured)
+    assert ResultCache().stats().entries == 3
+
+
+def _stub_measurement(point):
+    return BandwidthMeasurement(
+        pattern_name=point.pattern_name,
+        request_type=point.request_type,
+        payload_bytes=point.payload_bytes,
+        mode=point.mode,
+        active_ports=9,
+        bandwidth_gbs=1.0,
+        mrps=1.0,
+        reads_completed=1,
+        writes_completed=0,
+        read_latency_avg_ns=1.0,
+        read_latency_min_ns=1.0,
+        read_latency_max_ns=1.0,
+        write_latency_avg_ns=math.nan,
+        window_ns=1.0,
+    )
+
+
+def test_paper_campaign_grid_simulates_each_physical_point_once(
+    fresh_cache, monkeypatch
+):
+    """The fig7/8/13/16 ``--fast`` grid names 6 of its 77 points twice
+    (``1 vault`` / ``1 vault/random``, ``16 vaults`` / ``16 vaults/random``):
+    71 simulations, with every label answered."""
+    from repro.cli import FAST_SETTINGS
+    from repro.core.campaign import collect_measurement_points
+
+    simulated = []
+
+    def stub(point):
+        simulated.append(point)
+        return _stub_measurement(point), 0
+
+    monkeypatch.setattr(parallel, "_simulate", stub)
+    experiments = ("fig7", "fig8", "fig13", "fig16")
+    points = collect_measurement_points(experiments, FAST_SETTINGS)
+    assert len({cache_key(point) for point in points}) == 77
+    results = MeasurementExecutor(jobs=1, use_cache=False).measure_points(points)
+    assert len(simulated) == 71
+    assert [m.pattern_name for m in results] == [p.pattern_name for p in points]
