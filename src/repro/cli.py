@@ -33,7 +33,6 @@ Usage::
     python -m repro fleet top --iterations 1 --slo-p95-ms 500
     python -m repro metrics --port 8642
     python -m repro metrics --fleet --serve 9464
-    python -m repro serve --port 8642 --metrics-port 9100
     python -m repro trace run --pattern "16 vaults" --out trace.json
     python -m repro trace export spans.ndjson --format report
     python -m repro trace export .repro-fleet/trace --out fleet_trace.json
@@ -424,28 +423,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _configure_logging(args: argparse.Namespace, service: str) -> None:
-    """Honour ``--log-file`` by configuring the process event logger."""
-    log_file = getattr(args, "log_file", None)
-    if log_file:
-        from repro.obs import log as obs_log
-
-        obs_log.configure(target=log_file, service=service)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import run_service
 
-    _configure_logging(args, "backend")
-    device = getattr(args, "device", None)
-    if device:
-        # The daemon measures whatever settings each request carries;
-        # --device here just validates the name and announces the
-        # backend the operator expects clients to target.
-        from repro.devices import resolve_device
-
-        profile = resolve_device(device)
-        print(f"serving device backend {profile.name}: {profile.description}")
     run_service(
         host=args.host,
         port=args.port,
@@ -453,7 +433,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        metrics_port=args.metrics_port,
     )
     return 0
 
@@ -544,7 +523,6 @@ def _cmd_fleet_up(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_batch=args.max_batch,
         replicas=args.replicas,
-        device=getattr(args, "device", None),
         use_cache=not args.no_cache,
         trace_sample=args.trace_sample,
         log_level=args.log_level,
@@ -636,11 +614,9 @@ def _cmd_fleet_down(args: argparse.Namespace) -> int:
 def _cmd_fleet_route(args: argparse.Namespace) -> int:
     """Run the fleet router in the foreground (spawned by ``fleet up``)."""
     from repro.fleet.router import run_router
-    from repro.fleet.watch import SLOThresholds
 
-    _configure_logging(args, "router")
     backends = {}
-    for entry in args.backend or []:
+    for entry in args.backend:
         name, sep, address = entry.partition("=")
         host, _, port = address.rpartition(":")
         if not sep or not host or not port.isdigit():
@@ -650,25 +626,7 @@ def _cmd_fleet_route(args: argparse.Namespace) -> int:
             )
             return 2
         backends[name] = (host, int(port))
-    if not backends:
-        from repro.fleet.spec import FleetState, FleetStateError
-
-        try:
-            backends = FleetState.load(args.run_dir).backend_map()
-        except FleetStateError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    run_router(
-        backends,
-        host=args.host,
-        port=args.port,
-        replicas=args.replicas,
-        window=args.window,
-        metrics_port=args.metrics_port,
-        slo=SLOThresholds(
-            p95_ms=args.slo_p95_ms, failover_rate=args.slo_failover_rate
-        ),
-    )
+    run_router(backends, host=args.host, port=args.port, replicas=args.replicas)
     return 0
 
 
@@ -719,9 +677,9 @@ def _cmd_fleet_top(args: argparse.Namespace) -> int:
     """``repro fleet top``: live per-backend fleet health table.
 
     Polls the router's ``stats`` verb every ``--interval`` seconds and
-    renders the :func:`repro.fleet.watch.render_top` table, evaluating
-    the same SLO thresholds the router's watchdog uses so a breach
-    shows identically in both places.  ``--iterations N`` bounds the
+    renders the :func:`repro.fleet.watch.render_top` table, flagging
+    the backends that breach the ``--slo-*`` thresholds (evaluated
+    here, client-side).  ``--iterations N`` bounds the
     loop (CI uses 1); the default 0 runs until interrupted.
     """
     import time as _time
@@ -1488,21 +1446,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="most points simulated per executor batch",
     )
-    serve_parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also expose Prometheus /metrics on this HTTP port (0 = ephemeral)",
-    )
-    serve_parser.add_argument(
-        "--log-file",
-        default=None,
-        metavar="FILE",
-        help="write structured NDJSON events here (also: REPRO_LOG env)",
-    )
     add_executor_flags(serve_parser)
-    add_device_flag(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 
     metrics_parser = sub.add_parser(
@@ -1650,7 +1594,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("debug", "info", "warning", "error"),
         help="REPRO_LOG_LEVEL for every fleet process (default: info)",
     )
-    add_device_flag(fleet_up_parser)
     fleet_up_parser.set_defaults(func=_cmd_fleet_up)
 
     fleet_top_parser = fleet_sub.add_parser(
@@ -1727,50 +1670,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=DEFAULT_REPLICAS, metavar="N"
     )
     fleet_route_parser.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        metavar="N",
-        help="bounded in-flight requests per backend",
-    )
-    fleet_route_parser.add_argument(
         "--backend",
         action="append",
+        required=True,
         metavar="NAME=HOST:PORT",
-        help="one backend (repeat per backend); omit to read fleet.json",
-    )
-    fleet_route_parser.add_argument(
-        "--run-dir",
-        default=DEFAULT_RUN_DIR,
-        metavar="DIR",
-        help="fleet.json location used when no --backend is given",
-    )
-    fleet_route_parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also expose Prometheus /metrics on this HTTP port (0 = ephemeral)",
-    )
-    fleet_route_parser.add_argument(
-        "--log-file",
-        default=None,
-        metavar="FILE",
-        help="write structured NDJSON events here (also: REPRO_LOG env)",
-    )
-    fleet_route_parser.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="watchdog: warn + count when a backend's p95 exceeds this",
-    )
-    fleet_route_parser.add_argument(
-        "--slo-failover-rate",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="watchdog: warn + count when a backend's failover rate exceeds this",
+        help="one backend (repeat per backend)",
     )
     fleet_route_parser.set_defaults(func=_cmd_fleet_route)
     return parser

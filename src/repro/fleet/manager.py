@@ -233,8 +233,25 @@ def _backend_command(spec: FleetSpec) -> List[str]:
         command += ["--jobs", str(spec.jobs_per_backend)]
     if not spec.use_cache:
         command.append("--no-cache")
-    if spec.device:
-        command += ["--device", spec.device]
+    return command
+
+
+def _router_command(spec: FleetSpec, backends: List[BackendState]) -> List[str]:
+    command = [
+        sys.executable,
+        "-m",
+        "repro",
+        "fleet",
+        "route",
+        "--host",
+        spec.host,
+        "--port",
+        str(spec.router_port),
+        "--replicas",
+        str(spec.replicas),
+    ]
+    for backend in backends:
+        command += ["--backend", f"{backend.name}={backend.host}:{backend.port}"]
     return command
 
 
@@ -287,26 +304,8 @@ def fleet_up(spec: FleetSpec) -> FleetState:
             )
 
         router_log = spec.log_path("router")
-        router_command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "fleet",
-            "route",
-            "--host",
-            spec.host,
-            "--port",
-            str(spec.router_port),
-            "--replicas",
-            str(spec.replicas),
-        ]
-        for backend in backends:
-            router_command += [
-                "--backend",
-                f"{backend.name}={backend.host}:{backend.port}",
-            ]
         router_proc = _spawn(
-            router_command, router_log, _child_env(spec, "router")
+            _router_command(spec, backends), router_log, _child_env(spec, "router")
         )
         launched.append(router_proc)
         router_host, router_port = _await_ready(router_proc, router_log, _ROUTER_READY)
@@ -332,7 +331,6 @@ def fleet_up(spec: FleetSpec) -> FleetState:
         backends=tuple(backends),
         replicas=spec.replicas,
         run_dir=str(run_dir),
-        device=spec.device,
         spec={
             "backends": spec.backends,
             "jobs_per_backend": spec.jobs_per_backend,

@@ -30,8 +30,8 @@ answer.  The listener (:class:`~repro.service.server.LineServer`, shared
 with the daemon) answers malformed and over-long request lines with an
 error reply.  All of it is observable: the router owns its
 ``fleet_requests_total{backend=}``, ``fleet_failovers_total{backend=}``,
-``fleet_ring_rebalances_total{event=}``, per-backend latency histogram
-and SLO-breach counts (:meth:`FleetRouter.series`); the ``stats`` verb
+``fleet_ring_rebalances_total{event=}`` and per-backend latency
+histogram (:meth:`FleetRouter.series`); the ``stats`` verb
 renders the same state as per-backend health with p50/p95, and the
 ``metrics`` verb answers the whole fleet's merged snapshot.
 """
@@ -45,7 +45,6 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 from repro.core import schema
 from repro.core.cache import cache_key
 from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
-from repro.fleet.watch import WATCH_INTERVAL, SLOThresholds, evaluate_slo
 from repro.obs import aggregate, wiretrace
 from repro.obs.log import get_logger
 from repro.obs.registry import Histogram, get_registry
@@ -55,7 +54,7 @@ from repro.service.server import BackgroundLoop, LineServer
 #: Seconds between liveness probes of dead backends.
 PROBE_INTERVAL = 2.0
 
-#: Default bound on concurrent in-flight requests per backend.
+#: Bound on concurrent in-flight requests per backend.
 DEFAULT_WINDOW = 8
 
 #: Default connect/read timeouts towards a backend, seconds.  Reads are
@@ -83,7 +82,6 @@ class BackendChannel:
         name: str,
         host: str,
         port: int,
-        window: int = DEFAULT_WINDOW,
         connect_timeout: float = CONNECT_TIMEOUT,
         read_timeout: float = READ_TIMEOUT,
     ) -> None:
@@ -93,7 +91,7 @@ class BackendChannel:
         self.connect_timeout = connect_timeout
         self.read_timeout = read_timeout
         self.inflight = 0
-        self._window = asyncio.Semaphore(max(1, window))
+        self._window = asyncio.Semaphore(DEFAULT_WINDOW)
         self._free: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     async def _acquire(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -196,16 +194,13 @@ class FleetRouter(LineServer):
         host: str = protocol.DEFAULT_HOST,
         port: int = 0,
         replicas: int = DEFAULT_REPLICAS,
-        window: int = DEFAULT_WINDOW,
         connect_timeout: float = CONNECT_TIMEOUT,
         read_timeout: float = READ_TIMEOUT,
-        slo: Optional[SLOThresholds] = None,
     ) -> None:
         if not backends:
             raise ValueError("a fleet router needs at least one backend")
         super().__init__(host, port)
         self.started = time.monotonic()
-        self.slo = slo if slo is not None else SLOThresholds()
         self._log = get_logger("router")
         self.ring = HashRing(backends, replicas=replicas)
         self.channels: Dict[str, BackendChannel] = {
@@ -213,7 +208,6 @@ class FleetRouter(LineServer):
                 name,
                 address[0],
                 address[1],
-                window=window,
                 connect_timeout=connect_timeout,
                 read_timeout=read_timeout,
             )
@@ -228,7 +222,7 @@ class FleetRouter(LineServer):
         # that exhausts the ring fails once more than it retries.
         self.failovers = 0
         # Per-backend and per-event state that stats() and series() both
-        # read; the ring and SLO totals are sums over it.
+        # read; the ring total is a sum over it.
         self._backend_requests = {name: 0 for name in backends}
         self._backend_failures = {name: 0 for name in backends}
         self._latency = {
@@ -236,20 +230,16 @@ class FleetRouter(LineServer):
             for name in backends
         }
         self._rebalances = {"removed": 0, "restored": 0}
-        self._slo_breaches: Dict[Tuple[str, str], int] = {}
         self._probe_task: Optional[asyncio.Task] = None
-        self._watch_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
     # lifecycle (the listener is the shared LineServer)
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and start the probe and watchdog tasks."""
+        """Bind the listener and start the dead-backend probe task."""
         await self._listen()
         loop = asyncio.get_running_loop()
         self._probe_task = loop.create_task(self._probe_loop())
-        if self.slo.enabled:
-            self._watch_task = loop.create_task(self._watch_loop())
         self._log.info(
             "router_started",
             host=self.host,
@@ -260,15 +250,13 @@ class FleetRouter(LineServer):
     async def stop(self) -> None:
         """Graceful drain: close listener, finish in-flight relays."""
         await self._stop_listening()
-        for task in (self._probe_task, self._watch_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._probe_task = None
-        self._watch_task = None
+        if self._probe_task is not None:
+            self._probe_task.cancel()
+            try:
+                await self._probe_task
+            except asyncio.CancelledError:
+                pass
+            self._probe_task = None
         await self._finish_lines()
         await self._close_connections()
         for channel in self.channels.values():
@@ -317,41 +305,10 @@ class FleetRouter(LineServer):
                 if await self.channels[name].probe():
                     self._restore(name)
 
-    # ------------------------------------------------------------------
-    # SLO watchdog
-    # ------------------------------------------------------------------
-    async def _watch_loop(self) -> None:
-        """Evaluate the SLOs every :data:`WATCH_INTERVAL` seconds."""
-        while True:
-            await asyncio.sleep(WATCH_INTERVAL)
-            self.check_slo()
-
-    def check_slo(self) -> List[Dict]:
-        """Evaluate the configured SLOs once against the live stats.
-
-        Each breach *observation* (one violated objective on one
-        backend per evaluation) emits a structured warning event and
-        increments ``fleet_slo_breaches_total{backend,slo}`` - an
-        ongoing breach therefore counts once per watchdog interval,
-        which is what makes the counter's rate meaningful in a scrape.
-        Returns the breach records for callers (tests, ``fleet top``).
-        """
-        breaches = evaluate_slo(self.stats(), self.slo)
-        for breach in breaches:
-            key = (breach["backend"], breach["slo"])
-            self._slo_breaches[key] = self._slo_breaches.get(key, 0) + 1
-            self._log.warning("slo_breach", **breach)
-        return breaches
-
     @property
     def rebalances(self) -> int:
         """Ring membership changes, removals and restorations alike."""
         return sum(self._rebalances.values())
-
-    @property
-    def slo_breaches(self) -> int:
-        """SLO breach observations over every backend and objective."""
-        return sum(self._slo_breaches.values())
 
     # ------------------------------------------------------------------
     # connection handling
@@ -549,9 +506,6 @@ class FleetRouter(LineServer):
             series.append(
                 _counter("fleet_ring_rebalances_total", {"event": event}, count)
             )
-        for (backend, slo), count in sorted(self._slo_breaches.items()):
-            labels = {"backend": backend, "slo": slo}
-            series.append(_counter("fleet_slo_breaches_total", labels, count))
         series.append(
             {
                 "name": "fleet_backends_alive",
@@ -585,7 +539,6 @@ class FleetRouter(LineServer):
                 "measure_requests": self.measure_requests,
                 "errors": self.errors,
                 "failovers": self.failovers,
-                "slo_breaches": self.slo_breaches,
             },
             "ring": {
                 "nodes": sorted(self.ring.nodes),
@@ -630,65 +583,29 @@ def run_router(
     host: str = protocol.DEFAULT_HOST,
     port: int = 0,
     replicas: int = DEFAULT_REPLICAS,
-    window: int = DEFAULT_WINDOW,
-    ready_message: bool = True,
-    metrics_port: Optional[int] = None,
-    slo: Optional[SLOThresholds] = None,
 ) -> None:
     """Run a router in the foreground until SIGTERM/SIGINT (the CLI path).
 
-    ``metrics_port`` serves the router's own
-    :meth:`~FleetRouter.metrics_snapshot` as a Prometheus ``/metrics``
-    scrape endpoint; ``slo`` enables the watchdog that
-    turns threshold crossings into warning events and the
-    ``fleet_slo_breaches_total`` counter.
+    The ``routing on host:port`` line it prints is the ready line
+    ``repro fleet up`` waits for.
     """
 
     async def _main() -> None:
-        router = FleetRouter(
-            backends,
-            host=host,
-            port=port,
-            replicas=replicas,
-            window=window,
-            slo=slo,
-        )
+        router = FleetRouter(backends, host=host, port=port, replicas=replicas)
         await router.start()
-        scrape = None
-        if metrics_port is not None:
-            from repro.obs import export
-
-            scrape = export.MetricsHTTPServer(
-                lambda: export.prometheus_text(router.metrics_snapshot()),
-                host=host,
-                port=metrics_port,
-            )
-            bound = scrape.start()
-            if ready_message:
-                print(
-                    f"repro fleet-router: metrics on "
-                    f"http://{host}:{bound}/metrics",
-                    flush=True,
-                )
-        if ready_message:
-            print(
-                f"repro fleet-router: routing on {router.host}:{router.port} "
-                f"across {len(backends)} backend(s)",
-                flush=True,
-            )
-        try:
-            await router.serve_until_shutdown()
-        finally:
-            if scrape is not None:
-                scrape.stop()
-        if ready_message:
-            print(
-                "repro fleet-router: drained cleanly "
-                f"({router.measure_requests} measure requests, "
-                f"{router.failovers} failovers, "
-                f"{router.rebalances} ring rebalances)",
-                flush=True,
-            )
+        print(
+            f"repro fleet-router: routing on {router.host}:{router.port} "
+            f"across {len(backends)} backend(s)",
+            flush=True,
+        )
+        await router.serve_until_shutdown()
+        print(
+            "repro fleet-router: drained cleanly "
+            f"({router.measure_requests} measure requests, "
+            f"{router.failovers} failovers, "
+            f"{router.rebalances} ring rebalances)",
+            flush=True,
+        )
 
     asyncio.run(_main())
 

@@ -65,7 +65,6 @@ class FleetSpec:
     max_queue: int = 256
     max_batch: int = 64
     replicas: int = DEFAULT_REPLICAS
-    device: Optional[str] = None  # annotation passed to each backend
     use_cache: bool = True
     trace_sample: Optional[int] = None  # REPRO_TRACE_SAMPLE for every child
     log_level: str = "info"  # REPRO_LOG_LEVEL for every child
@@ -141,7 +140,6 @@ class FleetState:
     backends: Tuple[BackendState, ...]
     replicas: int = DEFAULT_REPLICAS
     run_dir: str = DEFAULT_RUN_DIR
-    device: Optional[str] = None
     spec: Optional[Dict] = field(default=None)
     obs: Optional[Dict] = field(default=None)  # resolved observability config
 
@@ -170,7 +168,6 @@ class FleetState:
             "router_pid": self.router_pid,
             "replicas": self.replicas,
             "run_dir": self.run_dir,
-            "device": self.device,
             "backends": [asdict(b) for b in self.backends],
             "spec": self.spec,
             "obs": self.obs,
@@ -205,7 +202,6 @@ class FleetState:
                 backends=backends,
                 replicas=payload.get("replicas", DEFAULT_REPLICAS),
                 run_dir=payload.get("run_dir", DEFAULT_RUN_DIR),
-                device=payload.get("device"),
                 spec=payload.get("spec"),
                 obs=payload.get("obs"),
             )

@@ -1,19 +1,15 @@
 """SLO evaluation and the live ``repro fleet top`` rendering.
 
-Both halves are pure functions over the router's ``stats`` payload so
-they are trivially testable and usable from two places: the router's
-in-process watchdog task (which turns breaches into structured warning
-events and ``fleet_slo_breaches_total`` increments) and the ``repro
-fleet top`` CLI (which renders the same snapshot for a human).
+Both halves are pure functions over the router's ``stats`` payload, so
+they are testable without a fleet: ``repro fleet top`` polls the
+router, evaluates its ``--slo-*`` thresholds client-side and renders
+the snapshot for a human.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-#: Seconds between watchdog evaluations inside the router.
-WATCH_INTERVAL = 5.0
 
 
 @dataclass(frozen=True)
@@ -117,9 +113,6 @@ def render_top(
         f"{int(router.get('failovers') or 0)} failovers, "
         f"{int(router.get('errors') or 0)} errors"
     )
-    slo_breaches = router.get("slo_breaches")
-    if slo_breaches is not None:
-        header += f", {int(slo_breaches)} slo breach(es)"
 
     columns = (
         "backend",

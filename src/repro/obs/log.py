@@ -31,8 +31,8 @@ on for every spawned child without touching call sites:
     target (e.g. a fleet-wide stderr capture) attribute events to the
     emitting process (``backend-0``, ``router``, ...).
 
-CLI flags (``--log-file`` on ``repro serve`` / ``repro fleet route``)
-call :func:`configure` and override the environment for that process.
+:func:`configure` installs a logger that overrides the environment
+(tests use it to capture events).
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def configure(
 
     ``target`` follows ``REPRO_LOG`` semantics (``stderr`` / ``stdout``
     / path / ``None`` or empty to disable).  Returns the installed
-    logger so CLI entry points can emit a first event immediately.
+    logger so the caller can emit a first event immediately.
     """
     stream = _resolve_stream(target) if target else None
     logger = EventLogger(

@@ -398,15 +398,12 @@ def run_service(
     use_cache: Optional[bool] = None,
     max_queue: int = 256,
     max_batch: int = 64,
-    ready_message: bool = True,
-    metrics_port: Optional[int] = None,
 ) -> None:
     """Run a daemon in the foreground until SIGTERM/SIGINT (the CLI path).
 
-    ``metrics_port`` additionally serves the ``metrics`` verb's snapshot
-    as a Prometheus ``/metrics`` scrape endpoint on that port (0 picks an
-    ephemeral one); the endpoint starts *after* the worker pool forks
-    so workers never inherit its socket.
+    The ``listening on host:port`` line it prints is the ready line
+    ``repro fleet up`` waits for.  Its metrics are scraped through the
+    ``metrics`` verb (``repro metrics --port PORT [--serve PORT]``).
     """
 
     async def _main() -> None:
@@ -419,38 +416,17 @@ def run_service(
             max_batch=max_batch,
         )
         await service.start()
-        scrape = None
-        if metrics_port is not None:
-            from repro.obs import export
-
-            scrape = export.MetricsHTTPServer(
-                lambda: export.prometheus_text(service.metrics_snapshot()),
-                host=host,
-                port=metrics_port,
-            )
-            bound = scrape.start()
-            if ready_message:
-                print(
-                    f"repro serve: metrics on http://{host}:{bound}/metrics",
-                    flush=True,
-                )
-        if ready_message:
-            print(f"repro serve: listening on {service.host}:{service.port}", flush=True)
-        try:
-            await service.serve_until_shutdown()
-        finally:
-            if scrape is not None:
-                scrape.stop()
-        if ready_message:
-            snapshot = service.metrics.snapshot()
-            print(
-                "repro serve: drained cleanly "
-                f"({snapshot['measure_requests']} measure requests, "
-                f"{snapshot['coalesced']} coalesced, "
-                f"{snapshot['cache_served']} cache-served, "
-                f"{snapshot['simulated']} simulated)",
-                flush=True,
-            )
+        print(f"repro serve: listening on {service.host}:{service.port}", flush=True)
+        await service.serve_until_shutdown()
+        snapshot = service.metrics.snapshot()
+        print(
+            "repro serve: drained cleanly "
+            f"({snapshot['measure_requests']} measure requests, "
+            f"{snapshot['coalesced']} coalesced, "
+            f"{snapshot['cache_served']} cache-served, "
+            f"{snapshot['simulated']} simulated)",
+            flush=True,
+        )
 
     asyncio.run(_main())
     # The daemon owned the process: drain the shared worker pool so the

@@ -22,13 +22,19 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.core import parallel, schema
 from repro.core.cache import cache_key
 from repro.core.experiment import ExperimentSettings, MeasurementPoint
 from repro.core.patterns import pattern_by_name
 from repro.core.sweeps import SweepGrid, run_sweep_detailed
 from repro.fleet.client import Backoff, FleetClient, FleetUnavailable
-from repro.fleet.manager import fleet_down, fleet_up
+from repro.fleet.manager import (
+    _backend_command,
+    _router_command,
+    fleet_down,
+    fleet_up,
+)
 from repro.fleet.ring import HashRing
 from repro.fleet.router import BackgroundRouter, FleetRouter
 from repro.fleet.spec import BackendState, FleetSpec, FleetState, FleetStateError
@@ -159,13 +165,47 @@ def test_fleet_state_round_trips_through_json(tmp_path):
             for i, name in enumerate(spec.backend_names())
         ),
         run_dir=str(tmp_path),
-        device="hmc2",
     )
     state.save()
     loaded = FleetState.load(tmp_path)
     assert loaded == state
     assert loaded.backend_map() == state.backend_map()
     assert loaded.backend("backend-1").port == 8702
+
+
+def test_fleet_state_loads_a_state_file_that_records_a_device():
+    """A fleet.json written while FleetState kept a device still loads."""
+    state = _state({"backend-0": ("127.0.0.1", 8701)})
+    payload = state.to_dict()
+    assert "device" not in payload
+    payload["device"] = "hmc2"
+    assert FleetState.from_dict(payload) == state
+
+
+def test_launcher_argv_parses_under_the_cli():
+    """Every flag ``fleet up`` passes to its children is one the CLI has."""
+    spec = FleetSpec(
+        backends=2, host="127.0.0.1", jobs_per_backend=2, use_cache=False
+    )
+    backend_argv = _backend_command(spec)
+    assert backend_argv[1:4] == ["-m", "repro", "serve"]
+    served = cli.build_parser().parse_args(backend_argv[3:])
+    assert served.func is cli._cmd_serve
+    assert (served.host, served.port, served.jobs) == ("127.0.0.1", 0, 2)
+    assert (served.max_queue, served.max_batch) == (spec.max_queue, spec.max_batch)
+    assert served.no_cache
+
+    state = _state({"backend-0": ("127.0.0.1", 8701), "backend-1": ("127.0.0.1", 8702)})
+    router_argv = _router_command(spec, list(state.backends))
+    assert router_argv[1:5] == ["-m", "repro", "fleet", "route"]
+    routed = cli.build_parser().parse_args(router_argv[3:])
+    assert routed.func is cli._cmd_fleet_route
+    assert (routed.host, routed.port, routed.replicas) == (
+        "127.0.0.1",
+        spec.router_port,
+        spec.replicas,
+    )
+    assert routed.backend == ["backend-0=127.0.0.1:8701", "backend-1=127.0.0.1:8702"]
 
 
 def test_fleet_state_rejects_unknown_version(tmp_path):

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import cli
 from repro.core import parallel
 from repro.core.experiment import (
     ExperimentSettings,
@@ -207,6 +208,15 @@ def test_metrics_verb_returns_registry_snapshot():
     )
     assert histogram["type"] == "histogram"
     assert "+Inf" in histogram["buckets"]
+
+
+def test_metrics_command_scrapes_a_daemon_as_prometheus_text(capsys):
+    """``repro metrics --port`` is the daemon's one Prometheus path."""
+    with BackgroundService(jobs=1, use_cache=False) as service:
+        assert cli.main(["metrics", "--port", str(service.port)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "# TYPE service_requests_total counter" in lines
+    assert any(line.startswith("service_requests_total ") for line in lines)
 
 
 def _series(snapshot, name):
