@@ -555,6 +555,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
 
     from repro.fleet.manager import fleet_status
     from repro.fleet.spec import FleetStateError
+    from repro.fleet.watch import served_quantiles
 
     try:
         status = fleet_status(args.run_dir)
@@ -578,8 +579,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
         ring = ring_view.get(name, {})
         extra = ""
         if ring:
-            latency = ring.get("latency", {})
-            p50, p95 = latency.get("p50_ms"), latency.get("p95_ms")
+            p50, p95 = served_quantiles(ring)
             extra = (
                 f"  ring={'in' if ring.get('alive') else 'OUT'} "
                 f"requests={int(ring.get('requests') or 0)} "

@@ -31,7 +31,6 @@ measurement results - old entries then simply stop matching.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -41,6 +40,16 @@ from typing import Iterable, Optional, Tuple, Union
 
 from repro.core import schema
 from repro.core.experiment import BandwidthMeasurement, MeasurementPoint
+
+# CPython's built-in SHA-256 first: hashlib maps OpenSSL's libcrypto
+# into the process, several MB that a cache key does not need.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 #: Version of the simulation model the cached results were produced by.
 #: Any change to the simulator, device model, or measurement protocol
@@ -68,6 +77,11 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-hmc"
+
+
+def sha256_hex(text: str) -> str:
+    """SHA-256 hex digest of ``text`` encoded as UTF-8."""
+    return _sha256(text.encode()).hexdigest()
 
 
 def cache_key(point: MeasurementPoint) -> str:
@@ -109,7 +123,7 @@ def cache_key(point: MeasurementPoint) -> str:
     if settings.device != "hmc1":
         inputs.append(("device", settings.device))
     canonical = repr(tuple(inputs))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256_hex(canonical)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,9 @@ legs so cold numbers honestly include pool start-up).  On platforms with
 ``fork`` (Linux, macOS with caveats) the workers are forked, so they
 inherit the parent's already-imported modules; where only ``spawn``
 exists (Windows) each worker re-imports on first start - slower to warm
-up, identical results.
+up, identical results.  The pool modules (``multiprocessing``,
+``concurrent.futures``) are imported where a pool is made or used, so a
+``jobs=1`` process never loads them.
 
 Cost-aware submission: within a batch, misses are submitted
 longest-expected-first so a stray expensive point cannot serialize the
@@ -66,12 +68,9 @@ event loop snapshots the counters concurrently.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -97,6 +96,8 @@ from repro.obs import wiretrace
 from repro.obs.log import get_logger
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.fleet.client import FleetClient
 
 #: In-process memo shared by every executor: key -> measurement.  This
@@ -304,6 +305,8 @@ def _mp_context():
     which only costs extra wall-clock the first time each worker runs -
     results are identical either way.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -317,6 +320,8 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     cost almost nothing.
     """
     global _POOL, _POOL_WORKERS
+    from concurrent.futures import ProcessPoolExecutor
+
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     with _POOL_LOCK:
@@ -575,6 +580,8 @@ class MeasurementExecutor:
         workers = min(self.jobs, len(miss_points))
         if workers <= 1:
             return [_simulate(point) for point in miss_points]
+        from concurrent.futures.process import BrokenProcessPool
+
         # Submit expensive points first (cost-aware scheduling), then
         # restore submission order for the caller.
         n = len(miss_points)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -28,6 +26,10 @@ class LinearFit:
             raise ValueError("x and y must have the same length")
         if len(xs) < 2:
             raise ValueError("need at least two points to fit a line")
+        # Imported on first fit: most processes (the CLI, the daemon, a
+        # DES-only run) never fit and never need numpy.
+        import numpy as np
+
         x = np.asarray(xs, dtype=float)
         y = np.asarray(ys, dtype=float)
         if np.allclose(x, x[0]):

@@ -24,8 +24,9 @@ backend dies mid-request.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Dict, Iterable, List, Tuple
+
+from repro.core.cache import sha256_hex
 
 #: Virtual points per node.  64 keeps the largest/smallest node share
 #: within ~2x of each other for small fleets while the ring stays tiny
@@ -35,7 +36,7 @@ DEFAULT_REPLICAS = 64
 
 def _hash(value: str) -> int:
     """Position of ``value`` on the ring: its SHA-256 as an integer."""
-    return int.from_bytes(hashlib.sha256(value.encode()).digest()[:8], "big")
+    return int(sha256_hex(value)[:16], 16)
 
 
 class HashRing:

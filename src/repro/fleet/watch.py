@@ -9,7 +9,7 @@ the snapshot for a human.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,20 @@ def _cell(value: Any, places: int = 1) -> str:
     return str(value)
 
 
+def served_quantiles(
+    entry: Mapping[str, Any],
+) -> Tuple[Optional[float], Optional[float]]:
+    """A backend's ``(p50_ms, p95_ms)``; ``None`` each until it serves.
+
+    An empty latency window reports 0 ms quantiles on the wire (fleet
+    merges rely on that), which must not render as a zero latency.
+    """
+    latency = entry.get("latency") or {}
+    if not int(latency.get("count") or 0):
+        return None, None
+    return latency.get("p50_ms"), latency.get("p95_ms")
+
+
 def render_top(
     stats: Mapping[str, Any],
     breaches: Sequence[Mapping[str, Any]] = (),
@@ -126,7 +140,7 @@ def render_top(
     rows = []
     for name in sorted(backends):
         entry = backends[name] or {}
-        latency = entry.get("latency") or {}
+        p50, p95 = served_quantiles(entry)
         flag = "!" if name in breached else ""
         rows.append(
             (
@@ -135,8 +149,8 @@ def render_top(
                 _cell(entry.get("inflight", 0)),
                 _cell(entry.get("requests", 0)),
                 _cell(entry.get("failovers", 0)),
-                _cell(latency.get("p50_ms"), 2),
-                _cell(latency.get("p95_ms"), 2),
+                _cell(p50, 2),
+                _cell(p95, 2),
             )
         )
     widths = [

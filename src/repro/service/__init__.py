@@ -12,16 +12,17 @@ executor.  The pieces:
 * :mod:`repro.service.batcher`  - request coalescing + bounded queue;
 * :mod:`repro.service.server`   - the asyncio daemon with graceful drain;
 * :mod:`repro.service.client`   - the blocking :class:`ServiceClient`.
+
+This package exports only the client side, so a client never loads
+asyncio or ssl.  The daemon classes live in :mod:`repro.service.server`
+(also as ``repro.MeasurementService`` and ``repro.BackgroundService``).
 """
 
 from repro.service.client import ServiceClient
 from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT, ServiceError
-from repro.service.server import BackgroundService, MeasurementService
 
 __all__ = [
     "ServiceClient",
-    "MeasurementService",
-    "BackgroundService",
     "ServiceError",
     "DEFAULT_HOST",
     "DEFAULT_PORT",

@@ -245,3 +245,33 @@ def test_render_top_table_flags_breaching_backends():
     assert "1 backend(s)" in text
     clean = render_top(_stats(p95_ms=1.0))
     assert "!" not in clean
+
+
+def test_idle_backend_renders_no_latency(monkeypatch, capsys):
+    # An idle backend's empty window is 0 ms on the wire; both renderers
+    # print "-" for it instead of a zero latency.
+    idle = _stats(p95_ms=0.0, count=0, requests=0)
+    idle["backends"]["backend-0"]["latency"]["p50_ms"] = 0.0
+    row = render_top(idle).splitlines()[-1].split()
+    assert row[-2:] == ["-", "-"]
+
+    from repro import cli
+    from repro.fleet import manager
+
+    status = {
+        "run_dir": ".repro-fleet",
+        "healthy": True,
+        "router": {
+            "host": "127.0.0.1",
+            "port": 1,
+            "pid": 1,
+            "alive": True,
+            "stats": idle,
+        },
+        "backends": {
+            "backend-0": {"host": "127.0.0.1", "port": 2, "pid": 2, "alive": True}
+        },
+    }
+    monkeypatch.setattr(manager, "fleet_status", lambda run_dir: status)
+    assert cli.main(["fleet", "status"]) == 0
+    assert "requests=0 p50=- p95=-" in capsys.readouterr().out
